@@ -1,7 +1,7 @@
 // Victim-selection microbenchmark + end-to-end engine throughput for BENCH_cache.json.
 //
-// The "before" side of the micro section runs live against ReferenceExpertCache — the seed's
-// O(n)-scan implementation preserved verbatim in src/cache/reference_cache.h — so the
+// The "before" side of the micro section runs live against ReferenceExpertCache — the
+// O(n)-scan specification in tests/reference_cache.h, compiled into this bench — so the
 // comparison never goes stale. Both caches execute the identical operation stream (same Rng
 // seed, same insert/touch/decay schedule); the property tests separately prove they produce
 // identical victims, so this file measures pure index throughput, not behavioral drift.
@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "src/cache/expert_cache.h"
-#include "src/cache/reference_cache.h"
 #include "src/harness/experiment.h"
 #include "src/harness/systems.h"
 #include "src/util/rng.h"
+#include "tests/reference_cache.h"
 
 namespace fmoe {
 namespace {

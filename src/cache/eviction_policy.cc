@@ -32,7 +32,7 @@ double LfuEvictionPolicy::EvictionScore(const CacheEntry& entry, double /*now*/)
 EvictionIndexKey LfuEvictionPolicy::IndexKey(const CacheEntry& entry, double inv_decay) const {
   if (entry.frequency <= kMinFrequency) {
     // Sub-floor plateau: every such entry scores exactly 1/kMinFrequency, so the primary is a
-    // constant and ties resolve purely by iteration-order label.
+    // constant and the cache's tie rule alone picks the victim (newest insertion first).
     return EvictionIndexKey{kMinFrequency, /*frozen=*/true};
   }
   return EvictionIndexKey{entry.frequency * inv_decay, /*frozen=*/false};

@@ -116,7 +116,7 @@ double ExpertCache::MaterializedFrequency(uint32_t slot) const {
 
 void ExpertCache::MaterializeSlot(uint32_t slot) {
   // Storing a materialized value is always safe: the fold applies the logged factors in the
-  // order an eager sweep would have, so the stored double is bitwise what the seed
+  // order an eager sweep would have, so the stored double is bitwise what the reference
   // implementation would hold.
   freq_[slot] = MaterializedFrequency(slot);
   epoch_[slot] = decay_epoch_;
@@ -193,7 +193,7 @@ void ExpertCache::PushHeapNode(uint32_t slot) {
   const CacheEntry view = MaterializedEntry(slot);
   const EvictionIndexKey key = policy_->IndexKey(view, inv_decay_);
   std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
-  heap.push_back(HeapNode{key.primary, oracle_.label(slot), slot, gen_[slot]});
+  heap.push_back(HeapNode{key.primary, ~seq_[slot], slot, gen_[slot]});
   std::push_heap(heap.begin(), heap.end(), NodeAfter{});
   ++index_stats_.heap_pushes;
   if (frozen_heap_.size() + active_heap_.size() > 8 * occupied_ + 64) {
@@ -212,7 +212,7 @@ void ExpertCache::RebuildHeaps() {
     MaterializeSlot(s);
     const EvictionIndexKey key = policy_->IndexKey(MaterializedEntry(s), inv_decay_);
     std::vector<HeapNode>& heap = key.frozen ? frozen_heap_ : active_heap_;
-    heap.push_back(HeapNode{key.primary, oracle_.label(s), s, gen_[s]});
+    heap.push_back(HeapNode{key.primary, ~seq_[s], s, gen_[s]});
   }
   std::make_heap(frozen_heap_.begin(), frozen_heap_.end(), NodeAfter{});
   std::make_heap(active_heap_.begin(), active_heap_.end(), NodeAfter{});
@@ -246,8 +246,8 @@ bool ExpertCache::BestCandidate(std::vector<HeapNode>& heap, double now, Candida
   double level_primary = node.primary;
   // A lower (primary, label) means a better victim, so the top is the winner — except when
   // floating-point rounding lands entries at *different* primaries but *equal* (or even
-  // inverted) exact scores, where the seed scan's tie-break is the iteration-order label
-  // across all of them. Walk further primary levels while their exact score still competes.
+  // inverted) exact scores, where the tie rule (newest insertion, i.e. smallest label) must
+  // hold across all of them. Walk further primary levels while their exact score competes.
   // Nodes sharing the current primary cannot win (same score function of the primary for
   // frozen keys, larger label), so a repeated primary terminates the walk, which keeps this
   // O(log n) even when the whole heap sits on one plateau primary.
@@ -284,7 +284,7 @@ bool ExpertCache::BestCandidate(std::vector<HeapNode>& heap, double now, Candida
   return true;
 }
 
-bool ExpertCache::PickVictim(double now, uint64_t* victim) {
+bool ExpertCache::PickVictim(double now, uint32_t* victim) {
   ++index_stats_.victim_picks;
   Candidate frozen;
   Candidate active;
@@ -301,11 +301,10 @@ bool ExpertCache::PickVictim(double now, uint64_t* victim) {
   } else if (frozen.score != active.score) {
     pick = frozen.score > active.score ? &frozen : &active;
   } else {
-    // Equal exact scores across the heaps: the seed scan keeps the first entry in hash-map
-    // iteration order, i.e. the smaller label.
+    // Equal exact scores across the heaps: the newer entry (smaller label) goes first.
     pick = frozen.label < active.label ? &frozen : &active;
   }
-  *victim = key_[pick->slot];
+  *victim = pick->slot;
   return true;
 }
 
@@ -325,6 +324,7 @@ uint32_t ExpertCache::AllocSlot() {
   freq_.push_back(0.0);
   prob_.push_back(0.0);
   epoch_.push_back(0);
+  seq_.push_back(0);
   pin_count_.push_back(0);
   transfer_tag_.push_back(0);
   occupied_flag_.push_back(0);
@@ -335,7 +335,7 @@ uint32_t ExpertCache::AllocSlot() {
   return slot;
 }
 
-void ExpertCache::InsertResident(const CacheEntry& entry) {
+void ExpertCache::InsertResident(const CacheEntry& entry, uint64_t seq) {
   const uint32_t slot = AllocSlot();
   key_[slot] = entry.key;
   bytes_[slot] = entry.bytes;
@@ -344,6 +344,7 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   freq_[slot] = entry.frequency;
   prob_[slot] = entry.probability;
   epoch_[slot] = decay_epoch_;
+  seq_[slot] = seq;
   pin_count_[slot] = entry.pin_count;
   transfer_tag_[slot] = entry.transfer_tag;
   occupied_flag_[slot] = 1;
@@ -352,12 +353,9 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   ++gen_[slot];
   ++freq_gen_[slot];
   TableInsert(entry.key, slot);
-  const IterationOrderOracle::InsertResult order = oracle_.Insert(entry.key, slot);
   used_bytes_ += entry.bytes;
   ++occupied_;
-  if (order.labels_invalidated) {
-    RebuildHeaps();  // Covers the fresh slot too.
-  } else if (pin_count_[slot] == 0) {
+  if (pin_count_[slot] == 0) {
     PushHeapNode(slot);
   }
   if (uses_frequency_ && freq_[slot] > kEvictionFrequencyFloor) {
@@ -365,13 +363,10 @@ void ExpertCache::InsertResident(const CacheEntry& entry) {
   }
 }
 
-CacheEntry ExpertCache::RemoveResident(uint64_t key) {
-  const uint32_t slot = LookupSlot(key);
-  FMOE_CHECK(slot != kNilSlot);
+CacheEntry ExpertCache::RemoveResident(uint32_t slot) {
   MaterializeSlot(slot);
   const CacheEntry out = MaterializedEntry(slot);
-  TableErase(key);
-  oracle_.Erase(key, slot);
+  TableErase(out.key);
   used_bytes_ -= bytes_[slot];
   --occupied_;
   occupied_flag_[slot] = 0;
@@ -401,22 +396,23 @@ bool ExpertCache::Insert(const CacheEntry& entry, double now, std::vector<CacheE
     ++stats_.rejected_insertions;
     return false;
   }
-  // Tentatively evict until the entry fits; roll back if we run out of victims. The oracle
-  // map replays the erase/emplace sequence of the seed implementation exactly, so iteration
-  // order — and with it every future tie-break — evolves identically.
+  // Tentatively evict until the entry fits; roll back if we run out of victims. Victims go
+  // home with their original insertion sequence, so a rejected insert keeps the tie order.
   victims_scratch_.clear();
+  victim_seqs_scratch_.clear();
   while (used_bytes_ + entry.bytes > effective_capacity_bytes()) {
-    uint64_t victim_key = 0;
-    if (!PickVictim(now, &victim_key)) {
-      for (const CacheEntry& v : victims_scratch_) {  // Roll back: victims go home.
-        InsertResident(v);
+    uint32_t victim = 0;
+    if (!PickVictim(now, &victim)) {
+      for (size_t i = 0; i < victims_scratch_.size(); ++i) {
+        InsertResident(victims_scratch_[i], victim_seqs_scratch_[i]);
       }
       ++stats_.rejected_insertions;
       return false;
     }
-    victims_scratch_.push_back(RemoveResident(victim_key));
+    victim_seqs_scratch_.push_back(seq_[victim]);
+    victims_scratch_.push_back(RemoveResident(victim));
   }
-  InsertResident(entry);
+  InsertResident(entry, next_seq_++);
   ++stats_.insertions;
   stats_.evictions += victims_scratch_.size();
   if (evicted != nullptr) {
@@ -447,11 +443,11 @@ bool ExpertCache::SetReservation(uint64_t bytes, double now, std::vector<CacheEn
   reserved_bytes_ = bytes;
   victims_scratch_.clear();
   while (used_bytes_ > effective_capacity_bytes()) {
-    uint64_t victim_key = 0;
-    if (!PickVictim(now, &victim_key)) {
+    uint32_t victim = 0;
+    if (!PickVictim(now, &victim)) {
       break;  // Only pinned entries left; best effort until pins release.
     }
-    victims_scratch_.push_back(RemoveResident(victim_key));
+    victims_scratch_.push_back(RemoveResident(victim));
   }
   stats_.evictions += victims_scratch_.size();
   if (evicted != nullptr) {
@@ -483,7 +479,7 @@ bool ExpertCache::Remove(uint64_t key, CacheEntry* removed) {
     return false;
   }
   FMOE_CHECK_MSG(pin_count_[slot] == 0, "removing pinned expert " << key);
-  const CacheEntry out = RemoveResident(key);
+  const CacheEntry out = RemoveResident(slot);
   if (removed != nullptr) {
     *removed = out;
   }
@@ -585,24 +581,26 @@ void ExpertCache::Unpin(uint64_t key) {
 }
 
 std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
-  std::vector<std::pair<double, uint64_t>> scored;
+  struct Scored {
+    double score;
+    uint64_t seq;
+    uint64_t key;
+  };
+  std::vector<Scored> scored;
   scored.reserve(occupied_);
   for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
     if (!occupied_flag_[s] || pin_count_[s] > 0) {
       continue;
     }
-    scored.emplace_back(policy_->EvictionScore(MaterializedEntry(s), now), key_[s]);
+    scored.push_back({policy_->EvictionScore(MaterializedEntry(s), now), seq_[s], key_[s]});
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
-    }
-    return a.second < b.second;
+  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.seq > b.seq;
   });
   std::vector<uint64_t> keys;
   keys.reserve(scored.size());
-  for (const auto& [score, key] : scored) {
-    keys.push_back(key);
+  for (const Scored& s : scored) {
+    keys.push_back(s.key);
   }
   return keys;
 }
@@ -610,7 +608,12 @@ std::vector<uint64_t> ExpertCache::EvictionOrder(double now) const {
 std::vector<uint64_t> ExpertCache::Keys() const {
   std::vector<uint64_t> keys;
   keys.reserve(occupied_);
-  oracle_.AppendKeysInOrder(&keys);
+  for (uint32_t s = 0; s < occupied_flag_.size(); ++s) {
+    if (occupied_flag_[s]) {
+      keys.push_back(key_[s]);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 

@@ -8,11 +8,16 @@
 // Storage is slot-based structure-of-arrays: every per-entry field lives in its own parallel
 // array indexed by a dense slot handle, slots recycle through a free list, and an
 // open-addressed hash table maps keys to slots. Victim selection is O(log n) amortized via
-// two lazy-invalidation min-heaps of (primary, iteration-order label) index keys — see
-// DESIGN.md for the full scheme (frozen/active split, epoch-based lazy decay, floor-crossing
-// schedule, order oracle). The semantics, including tie-breaking under equal eviction scores
-// and the exact floating-point trajectory of decayed frequencies, are bit-identical to the
-// naive linear-scan implementation preserved in reference_cache.h.
+// two lazy-invalidation min-heaps of (primary, insertion label) index keys — see DESIGN.md
+// for the full scheme (frozen/active split, epoch-based lazy decay, floor-crossing schedule).
+//
+// Tie rule: among entries with exactly equal eviction scores, the one inserted most recently
+// is evicted first. Decoding sweeps the layers in order once per token, so among equally cold
+// experts the newest one is needed again furthest in the future (the Belady choice). A
+// rejected insert hands every tentative victim back its original insertion sequence, so it
+// leaves the tie order untouched. The semantics, including the exact floating-point
+// trajectory of decayed frequencies, are bit-identical to the naive linear-scan
+// ReferenceExpertCache the property tests drive alongside this class.
 #ifndef FMOE_SRC_CACHE_EXPERT_CACHE_H_
 #define FMOE_SRC_CACHE_EXPERT_CACHE_H_
 
@@ -21,7 +26,6 @@
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
-#include "src/cache/order_oracle.h"
 
 namespace fmoe {
 
@@ -40,7 +44,7 @@ struct CacheStats {
 struct CacheIndexStats {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;       // Stale nodes discarded + candidates examined during picks.
-  uint64_t heap_rebuilds = 0;   // Compactions and rebuilds forced by relabels/rebases.
+  uint64_t heap_rebuilds = 0;   // Compactions and rebase rebuilds.
   uint64_t rebases = 0;         // Epoch-log folds (factor change, horizon, underflow guard).
   uint64_t decay_calls = 0;
   uint64_t crossing_fires = 0;  // Active entries frozen at their precomputed floor epoch.
@@ -120,7 +124,6 @@ class ExpertCache {
   size_t size() const { return occupied_; }
   const CacheStats& stats() const { return stats_; }
   const CacheIndexStats& index_stats() const { return index_stats_; }
-  const IterationOrderOracle::Stats& order_stats() const { return oracle_.stats(); }
 
   // Attaches a trace recorder (pure observer: never influences eviction decisions).
   // Insert/evict/remove decisions become instants on `track` plus occupancy counters, and
@@ -172,10 +175,11 @@ class ExpertCache {
   // identical to an eager per-entry sweep.
   void DecayFrequencies(double factor);
 
-  // Keys ordered by descending eviction score (most evictable first); for tests/inspection.
+  // Unpinned keys in victim order: descending eviction score, ties newest-inserted first.
+  // The first key is the victim the next evicting Insert at `now` picks.
   std::vector<uint64_t> EvictionOrder(double now) const;
 
-  // All resident keys, in the legacy hash-map iteration order.
+  // All resident keys, ascending.
   std::vector<uint64_t> Keys() const;
 
  private:
@@ -190,7 +194,7 @@ class ExpertCache {
 
   struct HeapNode {
     double primary = 0.0;
-    uint64_t label = 0;
+    uint64_t label = 0;  // ~seq: the newest entry has the smallest label.
     uint32_t slot = 0;
     uint32_t gen = 0;
   };
@@ -230,12 +234,12 @@ class ExpertCache {
   void RebuildHeaps();
   double ExactScore(uint32_t slot, double now);
   bool BestCandidate(std::vector<HeapNode>& heap, double now, Candidate* out);
-  bool PickVictim(double now, uint64_t* victim);
+  bool PickVictim(double now, uint32_t* victim);
 
   // --- Residency. ---
   uint32_t AllocSlot();
-  void InsertResident(const CacheEntry& entry);
-  CacheEntry RemoveResident(uint64_t key);
+  void InsertResident(const CacheEntry& entry, uint64_t seq);
+  CacheEntry RemoveResident(uint32_t slot);
 
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
@@ -258,6 +262,7 @@ class ExpertCache {
   std::vector<double> freq_;
   std::vector<double> prob_;
   std::vector<uint64_t> epoch_;  // Absolute decay epoch freq_ is materialized at.
+  std::vector<uint64_t> seq_;    // Insertion sequence: larger = inserted later.
   std::vector<int> pin_count_;
   std::vector<uint64_t> transfer_tag_;
   std::vector<uint8_t> occupied_flag_;
@@ -288,8 +293,9 @@ class ExpertCache {
   std::vector<HeapNode> active_heap_;
   std::vector<HeapNode> pick_scratch_;
 
-  IterationOrderOracle oracle_;
+  uint64_t next_seq_ = 0;
   std::vector<CacheEntry> victims_scratch_;
+  std::vector<uint64_t> victim_seqs_scratch_;  // Parallel to victims_scratch_, for rollback.
 };
 
 // --- EntryRef / ConstEntryRef inline accessors (need the ExpertCache definition). ---

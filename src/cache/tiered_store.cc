@@ -8,6 +8,20 @@
 
 namespace fmoe {
 
+void TierStats::Accumulate(const TierStats& other) {
+  host_hits += other.host_hits;
+  nvme_hits += other.nvme_hits;
+  gpu_fills_from_host += other.gpu_fills_from_host;
+  gpu_fills_chained += other.gpu_fills_chained;
+  direct_loads += other.direct_loads;
+  stages_issued += other.stages_issued;
+  stages_landed += other.stages_landed;
+  stage_promotions += other.stage_promotions;
+  demotions_to_host += other.demotions_to_host;
+  demotions_to_nvme += other.demotions_to_nvme;
+  host_spills += other.host_spills;
+}
+
 TieredExpertStore::TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
                                      const TierConfig& config)
     : config_(config),

@@ -72,6 +72,8 @@ struct TierStats {
   uint64_t demotions_to_host = 0;    // GPU victims re-homed in the host pool.
   uint64_t demotions_to_nvme = 0;    // GPU victims dropped straight to NVMe (no host room).
   uint64_t host_spills = 0;          // Host victims spilled to NVMe under pressure.
+
+  void Accumulate(const TierStats& other);
 };
 
 class TieredExpertStore {

@@ -86,6 +86,11 @@ class FmoePolicy : public OffloadPolicy {
   // Mean similarity scores observed since construction/Reset (Fig. 14a).
   double MeanSemanticScore() const;
   double MeanTrajectoryScore() const;
+  // The sums and sample counts behind those means, for pooling them across replicas.
+  double semantic_score_sum() const { return semantic_score_sum_; }
+  uint64_t semantic_score_count() const { return semantic_score_count_; }
+  double trajectory_score_sum() const { return trajectory_score_sum_; }
+  uint64_t trajectory_score_count() const { return trajectory_score_count_; }
 
   // Optional per-iteration score log (zipped with the engine's iteration records to compute
   // the similarity <-> hit-rate correlation of Fig. 8). Only meaningful with batch size 1.

@@ -7,6 +7,7 @@
 
 #include "src/serving/engine.h"
 #include "src/util/logging.h"
+#include "src/util/stats.h"
 
 namespace fmoe {
 namespace {
@@ -230,53 +231,7 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
   const std::vector<Request> requests = generator.Generate(request_count);
 
   const int replicas = std::max(options.replicas, 1);
-  if (replicas == 1) {
-    // Single replica: serve exactly as RunOnline would (same engine, same loop), so the
-    // default configuration replays today's behaviour bit for bit. A closed-loop admission
-    // policy adds a shed-or-serve gate in front of each arrival (open loop leaves the engine
-    // fully detached).
-    SystemSpec spec = MakeSystemFor(system_name, options);
-    ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-    GateDecisionRecorder oracle_recorder;
-    if (options.oracle) {
-      engine.SetOracleRecorder(&oracle_recorder);
-    }
-    std::unique_ptr<AdmissionController> controller;
-    if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-      controller = MakeAdmissionController(options.admission);
-      engine.SetAdmissionController(controller.get());
-    }
-    size_t served = 0;
-    for (const Request& request : requests) {
-      if (ServeWithAdmission(&engine, controller.get(), request)) {
-        ++served;
-      }
-    }
-    engine.SetAdmissionController(nullptr);
-    ExperimentResult result;
-    FillResult(system_name, options, engine, spec,
-               options.oracle ? &oracle_recorder : nullptr, &result);
-    if (controller != nullptr) {
-      result.admission_enabled = true;
-      result.admission_policy = options.admission.policy;
-      result.admission = controller->counters();
-    }
-    result.cluster.replicas = 1;
-    result.cluster.router = options.router_policy;
-    result.cluster.memory = options.cluster_memory;
-    ClusterReplicaStats stats;
-    stats.requests = served;
-    stats.iterations = result.iterations;
-    stats.mean_e2e = result.mean_e2e;
-    stats.hit_rate = result.hit_rate;
-    stats.busy_until = engine.now();
-    result.cluster.makespan = engine.now();
-    result.cluster.aggregate_throughput_rps =
-        engine.now() > 0.0 ? static_cast<double>(served) / engine.now() : 0.0;
-    result.cluster.replica_stats.push_back(stats);
-    return result;
-  }
-
+  const auto replica_count = static_cast<size_t>(replicas);
   ClusterOptions cluster_options;
   cluster_options.replicas = replicas;
   cluster_options.router = options.router_policy;
@@ -286,22 +241,24 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
   std::vector<std::unique_ptr<ServingEngine>> engines;
   // One tape per replica (each engine is its own cache + links); the per-replica gap
   // reports are summed into one merged block below.
-  std::vector<GateDecisionRecorder> oracle_recorders(
-      options.oracle ? static_cast<size_t>(replicas) : 0);
-  specs.reserve(static_cast<size_t>(replicas));
-  engines.reserve(static_cast<size_t>(replicas));
+  std::vector<GateDecisionRecorder> oracle_recorders(options.oracle ? replica_count : 0);
+  specs.reserve(replica_count);
+  engines.reserve(replica_count);
   for (int r = 0; r < replicas; ++r) {
     specs.push_back(MakeSystemFor(system_name, options));
     EngineConfig config = MakeEngineConfig(options, specs.back());
-    // Traces attach to replica 0 only (one timeline per recorder); its tracks carry the
-    // replica prefix so cluster traces are distinguishable from single-engine ones.
-    config.trace_track_prefix = "replica" + std::to_string(r) + "/";
-    if (r > 0) {
-      config.trace = nullptr;
-    }
-    if (options.cluster_memory == ClusterMemoryMode::kPartition && !specs.back().preload_all) {
-      config.expert_cache_bytes =
-          std::max<uint64_t>(config.expert_cache_bytes / static_cast<uint64_t>(replicas), 1);
+    if (replicas > 1) {
+      // Traces attach to replica 0 only (one timeline per recorder); its tracks carry the
+      // replica prefix so cluster traces are distinguishable from single-engine ones.
+      config.trace_track_prefix = "replica" + std::to_string(r) + "/";
+      if (r > 0) {
+        config.trace = nullptr;
+      }
+      if (options.cluster_memory == ClusterMemoryMode::kPartition &&
+          !specs.back().preload_all) {
+        config.expert_cache_bytes =
+            std::max<uint64_t>(config.expert_cache_bytes / replica_count, 1);
+      }
     }
     engines.push_back(std::make_unique<ServingEngine>(options.model, config,
                                                       specs.back().policy.get()));
@@ -312,22 +269,20 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
 
   // Per-replica controllers (closed-loop policies only): each replica's controller sees only
   // its routed arrivals and drives only that engine's knobs, composing with the router.
-  std::vector<std::unique_ptr<AdmissionController>> controllers(
-      static_cast<size_t>(replicas));
+  std::vector<std::unique_ptr<AdmissionController>> controllers(replica_count);
   if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    for (int r = 0; r < replicas; ++r) {
-      controllers[static_cast<size_t>(r)] = MakeAdmissionController(options.admission);
-      engines[static_cast<size_t>(r)]->SetAdmissionController(
-          controllers[static_cast<size_t>(r)].get());
+    for (size_t r = 0; r < replica_count; ++r) {
+      controllers[r] = MakeAdmissionController(options.admission);
+      engines[r]->SetAdmissionController(controllers[r].get());
     }
   }
 
   RequestRouter router(cluster_options, options.seed ^ kSemanticRouterSeed);
-  std::vector<ReplicaLoad> loads(static_cast<size_t>(replicas));
+  std::vector<ReplicaLoad> loads(replica_count);
   std::vector<int> assignment(requests.size(), 0);
   for (size_t i = 0; i < requests.size(); ++i) {
     std::vector<double> prompt_embedding;
-    if (options.router_policy == RouterPolicy::kSemanticAffinity) {
+    if (replicas > 1 && options.router_policy == RouterPolicy::kSemanticAffinity) {
       prompt_embedding = engines[0]->embedder().PromptEmbedding(requests[i].routing);
     }
     const int r = router.Route(requests[i], prompt_embedding, loads);
@@ -340,138 +295,127 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
     loads[static_cast<size_t>(r)].busy_until = engines[static_cast<size_t>(r)]->now();
     ++loads[static_cast<size_t>(r)].assigned;
   }
-  for (int r = 0; r < replicas; ++r) {
-    engines[static_cast<size_t>(r)]->SetAdmissionController(nullptr);
+  for (const auto& engine : engines) {
+    engine->SetAdmissionController(nullptr);
   }
 
-  // Merge: arrival-order latencies (walk the assignment with per-replica cursors — each
-  // replica served its subset in arrival order), counter sums, and count-weighted means.
-  ExperimentResult result;
-  result.system = system_name;
-  result.cluster_enabled = true;
-  result.cluster.replicas = replicas;
-  result.cluster.router = options.router_policy;
-  result.cluster.memory = options.cluster_memory;
-
-  std::vector<std::vector<double>> replica_latencies;
-  std::vector<size_t> cursor(static_cast<size_t>(replicas), 0);
-  double ttft_weighted = 0.0;
-  double tpot_weighted = 0.0;
-  double e2e_sum = 0.0;
+  // Merge: each replica's result is built as a single engine's would be, then pooled.
+  // Counters, breakdowns and byte budgets add; every mean is recomputed over the pooled
+  // population (requests for TTFT and end-to-end, decoding requests for TPOT, expert
+  // servings for the hit rate and precision share, score samples for the similarity
+  // scores), so a single replica pools to exactly its own result.
+  std::vector<ExperimentResult> parts(replica_count);
+  for (size_t r = 0; r < replica_count; ++r) {
+    FillResult(system_name, options, *engines[r], specs[r],
+               options.oracle ? &oracle_recorders[r] : nullptr, &parts[r]);
+  }
+  ExperimentResult result = parts[0];
+  std::vector<double> ttfts;
+  std::vector<double> tpots;
+  std::vector<double> e2es;
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t low_precision_hits = 0;
-  size_t total_requests = 0;
-  uint64_t total_iterations = 0;
-  double semantic_weighted = 0.0;
-  double trajectory_weighted = 0.0;
-  double low_precision_weighted = 0.0;
-  double cache_capacity_gb = 0.0;
-  double cache_used_gb = 0.0;
-  for (int r = 0; r < replicas; ++r) {
-    const ServingEngine& engine = *engines[static_cast<size_t>(r)];
+  double semantic_sum = 0.0;
+  uint64_t semantic_count = 0;
+  double trajectory_sum = 0.0;
+  uint64_t trajectory_count = 0;
+  bool fmoe_family = false;
+  for (size_t r = 0; r < replica_count; ++r) {
+    const ServingEngine& engine = *engines[r];
     const RunMetrics& metrics = engine.metrics();
-    replica_latencies.push_back(metrics.EndToEndLatencies());
-    const size_t served = metrics.requests().size();
-    ttft_weighted += metrics.MeanTtft() * static_cast<double>(served);
-    tpot_weighted += metrics.MeanTpot() * static_cast<double>(metrics.iterations());
-    for (const double latency : replica_latencies.back()) {
-      e2e_sum += latency;
+    const ExperimentResult& part = parts[r];
+    for (const RequestMetrics& request : metrics.requests()) {
+      ttfts.push_back(request.Ttft());
+      e2es.push_back(request.EndToEnd());
+      if (request.decode_iterations > 0) {
+        tpots.push_back(request.Tpot());
+      }
     }
     hits += metrics.expert_hits();
     misses += metrics.expert_misses();
     low_precision_hits += metrics.low_precision_hits();
-    total_requests += served;
-    total_iterations += metrics.iterations();
-    result.breakdown.Accumulate(metrics.breakdown());
-    const DeferredPipelineStats& deferred = metrics.deferred();
-    result.deferred.published += deferred.published;
-    result.deferred.applied += deferred.applied;
-    result.deferred.superseded += deferred.superseded;
-    result.deferred.dropped += deferred.dropped;
-    result.deferred.blocking += deferred.blocking;
-    result.deferred.modeled_work_s += deferred.modeled_work_s;
-    result.deferred.overlapped_s += deferred.overlapped_s;
-    result.deferred.wasted_work_s += deferred.wasted_work_s;
-    result.deferred.queue_wait_s += deferred.queue_wait_s;
-    result.deferred.decision_latency_s += deferred.decision_latency_s;
-    cache_capacity_gb += static_cast<double>(engine.cache().capacity_bytes()) / kGiB;
-    cache_used_gb += static_cast<double>(engine.cache().used_bytes()) / kGiB;
-    if (const auto* fmoe_policy =
-            dynamic_cast<const FmoePolicy*>(specs[static_cast<size_t>(r)].policy.get())) {
-      semantic_weighted +=
-          fmoe_policy->MeanSemanticScore() * static_cast<double>(metrics.iterations());
-      trajectory_weighted +=
-          fmoe_policy->MeanTrajectoryScore() * static_cast<double>(metrics.iterations());
+    if (const auto* fmoe_policy = dynamic_cast<const FmoePolicy*>(specs[r].policy.get())) {
+      fmoe_family = true;
+      semantic_sum += fmoe_policy->semantic_score_sum();
+      semantic_count += fmoe_policy->semantic_score_count();
+      trajectory_sum += fmoe_policy->trajectory_score_sum();
+      trajectory_count += fmoe_policy->trajectory_score_count();
     }
-    low_precision_weighted += metrics.LowPrecisionShare() *
-                              static_cast<double>(metrics.expert_hits() +
-                                                  metrics.expert_misses());
+    if (r > 0) {
+      result.iterations += part.iterations;
+      result.breakdown.Accumulate(part.breakdown);
+      result.deferred.Accumulate(part.deferred);
+      result.cache_capacity_gb += part.cache_capacity_gb;
+      result.cache_used_gb += part.cache_used_gb;
+      result.tier.Accumulate(part.tier);
+      result.host_capacity_gb += part.host_capacity_gb;
+      result.host_used_gb += part.host_used_gb;
+      result.iteration_records.insert(result.iteration_records.end(),
+                                      part.iteration_records.begin(),
+                                      part.iteration_records.end());
+      result.score_log.insert(result.score_log.end(), part.score_log.begin(),
+                              part.score_log.end());
+      if (options.oracle) {
+        AccumulateOracleReport(&result.oracle, part.oracle);
+      }
+    }
+    if (controllers[r] != nullptr) {
+      result.admission_enabled = true;
+      result.admission_policy = options.admission.policy;
+      result.admission.arrived += controllers[r]->counters().arrived;
+      result.admission.admitted += controllers[r]->counters().admitted;
+      result.admission.rejected += controllers[r]->counters().rejected;
+    }
 
     ClusterReplicaStats stats;
-    stats.replica = r;
-    stats.requests = served;
-    stats.iterations = metrics.iterations();
-    stats.mean_e2e = metrics.MeanEndToEnd();
-    stats.hit_rate = metrics.HitRate();
+    stats.replica = static_cast<int>(r);
+    stats.requests = metrics.requests().size();
+    stats.iterations = part.iterations;
+    stats.mean_e2e = part.mean_e2e;
+    stats.hit_rate = part.hit_rate;
     stats.busy_until = engine.now();
     result.cluster.makespan = std::max(result.cluster.makespan, engine.now());
     result.cluster.replica_stats.push_back(stats);
-    if (options.oracle) {
-      // Each replica's tape replays against its own cache and links; the merged block sums
-      // the counters and recomputes the gaps over the whole cluster.
-      result.oracle_enabled = true;
-      OracleConfig oracle_config;
-      oracle_config.expert_bytes = options.model.expert_bytes;
-      oracle_config.link = engine.config().gpu.link;
-      AccumulateOracleReport(
-          &result.oracle,
-          ComputeOracleReport(oracle_recorders[static_cast<size_t>(r)], oracle_config,
-                              metrics.breakdown().demand_stall));
-    }
   }
-  result.request_latencies.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (assignment[i] < 0) {
-      continue;  // Shed before service: contributes a rejection, not a latency.
-    }
-    const auto r = static_cast<size_t>(assignment[i]);
-    FMOE_CHECK(cursor[r] < replica_latencies[r].size());
-    result.request_latencies.push_back(replica_latencies[r][cursor[r]++]);
-  }
-  if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    result.admission_enabled = true;
-    result.admission_policy = options.admission.policy;
-    for (const auto& controller : controllers) {
-      result.admission.arrived += controller->counters().arrived;
-      result.admission.admitted += controller->counters().admitted;
-      result.admission.rejected += controller->counters().rejected;
-    }
-  }
-  result.mean_ttft =
-      total_requests == 0 ? 0.0 : ttft_weighted / static_cast<double>(total_requests);
-  result.mean_tpot =
-      total_iterations == 0 ? 0.0 : tpot_weighted / static_cast<double>(total_iterations);
-  result.mean_e2e =
-      total_requests == 0 ? 0.0 : e2e_sum / static_cast<double>(total_requests);
+  result.mean_ttft = Mean(ttfts);
+  result.mean_tpot = Mean(tpots);
+  result.mean_e2e = Mean(e2es);
   const uint64_t servings = hits + misses;
   result.hit_rate =
       servings == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(servings);
   result.low_precision_share =
       servings == 0 ? 0.0
-                    : low_precision_weighted / static_cast<double>(servings);
-  result.iterations = total_iterations;
-  result.cache_capacity_gb = cache_capacity_gb;
-  result.cache_used_gb = cache_used_gb;
-  result.mean_semantic_score =
-      total_iterations == 0 ? 0.0
-                            : semantic_weighted / static_cast<double>(total_iterations);
-  result.mean_trajectory_score =
-      total_iterations == 0 ? 0.0
-                            : trajectory_weighted / static_cast<double>(total_iterations);
+                    : static_cast<double>(low_precision_hits) / static_cast<double>(servings);
+  if (fmoe_family) {
+    result.mean_semantic_score =
+        semantic_count == 0 ? 0.0 : semantic_sum / static_cast<double>(semantic_count);
+    result.mean_trajectory_score =
+        trajectory_count == 0 ? 0.0 : trajectory_sum / static_cast<double>(trajectory_count);
+  }
+
+  // Arrival-order latencies: walk the assignment with per-replica cursors (each replica
+  // served its subset in arrival order).
+  result.request_latencies.clear();
+  result.request_latencies.reserve(requests.size());
+  std::vector<size_t> cursor(replica_count, 0);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (assignment[i] < 0) {
+      continue;  // Shed before service: contributes a rejection, not a latency.
+    }
+    const auto r = static_cast<size_t>(assignment[i]);
+    FMOE_CHECK(cursor[r] < parts[r].request_latencies.size());
+    result.request_latencies.push_back(parts[r].request_latencies[cursor[r]++]);
+  }
+
+  // The summary is filled at every replica count; the report prints it only for R > 1.
+  result.cluster_enabled = replicas > 1;
+  result.cluster.replicas = replicas;
+  result.cluster.router = options.router_policy;
+  result.cluster.memory = options.cluster_memory;
   result.cluster.aggregate_throughput_rps =
       result.cluster.makespan > 0.0
-          ? static_cast<double>(total_requests) / result.cluster.makespan
+          ? static_cast<double>(ttfts.size()) / result.cluster.makespan
           : 0.0;
   return result;
 }

@@ -157,8 +157,9 @@ ExperimentResult RunScheduledReplay(const std::string& system_name,
 
 // Multi-replica cluster protocol (DESIGN.md §5i): the trace's requests are routed across
 // `options.replicas` independent engines by `options.router_policy` and served in arrival
-// order. Per-request latencies are reported in arrival order (merged across replicas).
-// With replicas == 1 this is RunOnline, bit for bit. A non-open-loop options.admission
+// order. Per-request latencies are reported in arrival order (merged across replicas); the
+// merged means pool every replica's per-request values, and counters (tier block included)
+// add. With replicas == 1 this is RunOnline, bit for bit. A non-open-loop options.admission
 // policy runs one controller per replica (composing with the router): each replica's
 // controller sees only its routed arrivals, may shed them against the SLO, and drives that
 // engine's prefetch distance; latencies then cover admitted requests only.

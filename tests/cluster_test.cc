@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -173,6 +174,64 @@ TEST(RunClusterTest, ClusterRunsAreDeterministic) {
   WriteResultJson(a, /*include_latencies=*/true, ja);
   WriteResultJson(b, /*include_latencies=*/true, jb);
   EXPECT_EQ(ja.str(), jb.str());
+}
+
+// Two round-robin replicas over an odd request count serve different numbers of requests and
+// iterations. Each replica is an independent engine serving its share in arrival order, which
+// is exactly RunReplay over that share, so the merged result must pool the two replays'
+// per-request values and add their counters, tier block included.
+TEST(RunClusterTest, MergePoolsPerRequestValuesAcrossUnevenReplicas) {
+  ExperimentOptions options = SmallOptions();
+  options.replicas = 2;
+  options.router_policy = RouterPolicy::kRoundRobin;
+  options.tier.nvme_backing = true;
+  options.tier.host_capacity_bytes = options.model.total_expert_bytes() / 4;
+  options.host_stage_candidates = 2;
+  constexpr size_t kRequests = 15;
+  const ExperimentResult merged = RunCluster("fMoE", options, FastTrace(), kRequests);
+
+  DatasetProfile dataset = options.dataset;
+  dataset.max_decode_tokens = options.max_decode_tokens;
+  const std::vector<Request> requests =
+      TraceGenerator(FastTrace(), dataset, options.seed).Generate(kRequests);
+  std::vector<Request> shares[2];
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_GT(requests[i].decode_tokens, 0);  // Every request contributes one TPOT value.
+    shares[i % 2].push_back(requests[i]);
+  }
+  const ExperimentResult a = RunReplay("fMoE", options, shares[0]);
+  const ExperimentResult b = RunReplay("fMoE", options, shares[1]);
+  ASSERT_NE(a.iterations, b.iterations);
+
+  ASSERT_EQ(merged.request_latencies.size(), kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    const ExperimentResult& replica = i % 2 == 0 ? a : b;
+    EXPECT_EQ(merged.request_latencies[i], replica.request_latencies[i / 2]) << "request " << i;
+  }
+  EXPECT_EQ(merged.iterations, a.iterations + b.iterations);
+  ASSERT_EQ(merged.cluster.replica_stats.size(), 2u);
+  EXPECT_EQ(merged.cluster.replica_stats[0].requests, shares[0].size());
+  EXPECT_EQ(merged.cluster.replica_stats[1].requests, shares[1].size());
+
+  // Per-request pooling: every request weighs the same, whatever its replica's iterations.
+  const auto na = static_cast<double>(shares[0].size());
+  const auto nb = static_cast<double>(shares[1].size());
+  const double pooled_tpot = (a.mean_tpot * na + b.mean_tpot * nb) / (na + nb);
+  const double pooled_ttft = (a.mean_ttft * na + b.mean_ttft * nb) / (na + nb);
+  EXPECT_NEAR(merged.mean_tpot, pooled_tpot, 1e-12 * pooled_tpot);
+  EXPECT_NEAR(merged.mean_ttft, pooled_ttft, 1e-12 * pooled_ttft);
+  const auto ia = static_cast<double>(a.iterations);
+  const auto ib = static_cast<double>(b.iterations);
+  const double iteration_weighted = (a.mean_tpot * ia + b.mean_tpot * ib) / (ia + ib);
+  EXPECT_GT(std::abs(merged.mean_tpot - iteration_weighted), 1e-6 * pooled_tpot);
+
+  ASSERT_TRUE(a.tier_enabled);
+  ASSERT_TRUE(merged.tier_enabled);
+  EXPECT_GT(merged.tier.stages_issued, 0u);
+  EXPECT_EQ(merged.tier.stages_issued, a.tier.stages_issued + b.tier.stages_issued);
+  EXPECT_EQ(merged.tier.host_hits, a.tier.host_hits + b.tier.host_hits);
+  EXPECT_EQ(merged.tier.nvme_hits, a.tier.nvme_hits + b.tier.nvme_hits);
+  EXPECT_DOUBLE_EQ(merged.host_capacity_gb, a.host_capacity_gb + b.host_capacity_gb);
 }
 
 TEST(RunClusterTest, PartitionModeShrinksPerReplicaCache) {

@@ -205,11 +205,48 @@ TEST_F(ExpertCacheTest, EvictionOrderSortsMostEvictableFirst) {
 
 TEST_F(ExpertCacheTest, KeysReturnsAllResidents) {
   ExpertCache cache(100, &lru_);
-  cache.Insert(Entry(1), 0.0, nullptr);
   cache.Insert(Entry(7), 0.0, nullptr);
-  auto keys = cache.Keys();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys, (std::vector<uint64_t>{1, 7}));
+  cache.Insert(Entry(1), 0.0, nullptr);
+  cache.Insert(Entry(4), 0.0, nullptr);
+  EXPECT_EQ(cache.Keys(), (std::vector<uint64_t>{1, 4, 7}));
+}
+
+TEST_F(ExpertCacheTest, EqualScoresEvictNewestInsertedFirst) {
+  // Zero-frequency LFU entries all sit on the frequency floor, so every score ties exactly.
+  ExpertCache cache(40, &lfu_);
+  for (const uint64_t key : {5u, 2u, 9u, 1u}) {
+    cache.Insert(Entry(key), 0.0, nullptr);
+  }
+  EXPECT_EQ(cache.EvictionOrder(1.0), (std::vector<uint64_t>{1, 9, 2, 5}));
+  std::vector<CacheEntry> evicted;
+  ASSERT_TRUE(cache.Insert(Entry(3), 1.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, 1u);
+  // The new entry is now the newest on the plateau.
+  ASSERT_TRUE(cache.Insert(Entry(8), 2.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, 3u);
+}
+
+TEST_F(ExpertCacheTest, RejectedInsertKeepsTieOrder) {
+  ExpertCache cache(50, &lfu_);
+  for (uint64_t key = 1; key <= 5; ++key) {
+    cache.Insert(Entry(key), 0.0, nullptr);
+  }
+  for (uint64_t key = 1; key <= 3; ++key) {
+    cache.Pin(key);
+  }
+  const std::vector<uint64_t> order_before = cache.EvictionOrder(1.0);
+  ASSERT_EQ(order_before, (std::vector<uint64_t>{5, 4}));
+  // Needs four slots but only two are evictable: 5 and 4 are evicted tentatively, then the
+  // insert runs out of victims and both go home.
+  EXPECT_FALSE(cache.Insert(Entry(6, 40), 1.0, nullptr));
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.EvictionOrder(1.0), order_before);
+  std::vector<CacheEntry> evicted;
+  ASSERT_TRUE(cache.Insert(Entry(7), 2.0, &evicted));
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].key, order_before.front());
 }
 
 TEST_F(ExpertCacheTest, StatsCountInsertionsAndEvictions) {

@@ -1,4 +1,4 @@
-#include "src/cache/reference_cache.h"
+#include "tests/reference_cache.h"
 
 #include <algorithm>
 
@@ -14,29 +14,39 @@ ReferenceExpertCache::ReferenceExpertCache(uint64_t capacity_bytes,
 
 CacheEntry* ReferenceExpertCache::Find(uint64_t key) {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 const CacheEntry* ReferenceExpertCache::Find(uint64_t key) const {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.entry;
 }
 
 bool ReferenceExpertCache::PickVictim(double now, uint64_t* victim) const {
   bool found = false;
   double best_score = 0.0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.pin_count > 0) {
+  uint64_t best_seq = 0;
+  for (const auto& [key, resident] : entries_) {
+    if (resident.entry.pin_count > 0) {
       continue;
     }
-    const double score = policy_->EvictionScore(entry, now);
-    if (!found || score > best_score) {
+    const double score = policy_->EvictionScore(resident.entry, now);
+    if (!found || score > best_score || (score == best_score && resident.seq > best_seq)) {
       found = true;
       best_score = score;
+      best_seq = resident.seq;
       *victim = key;
     }
   }
   return found;
+}
+
+ReferenceExpertCache::Resident ReferenceExpertCache::Evict(uint64_t key) {
+  const auto it = entries_.find(key);
+  const Resident out = it->second;
+  used_bytes_ -= out.entry.bytes;
+  entries_.erase(it);
+  return out;
 }
 
 bool ReferenceExpertCache::Insert(const CacheEntry& entry, double now,
@@ -49,29 +59,29 @@ bool ReferenceExpertCache::Insert(const CacheEntry& entry, double now,
     return false;
   }
   // Tentatively evict until the entry fits; roll back if we run out of victims.
-  std::vector<CacheEntry> victims;
+  std::vector<Resident> victims;
   while (used_bytes_ + entry.bytes > effective_capacity_bytes()) {
     uint64_t victim_key = 0;
     if (!PickVictim(now, &victim_key)) {
-      // Roll back: victims go home.
-      for (const CacheEntry& v : victims) {
-        entries_.emplace(v.key, v);
-        used_bytes_ += v.bytes;
+      // Roll back: victims go home with their original insertion sequence.
+      for (const Resident& v : victims) {
+        entries_.emplace(v.entry.key, v);
+        used_bytes_ += v.entry.bytes;
       }
       ++stats_.rejected_insertions;
       return false;
     }
-    const auto it = entries_.find(victim_key);
-    victims.push_back(it->second);
-    used_bytes_ -= it->second.bytes;
-    entries_.erase(it);
+    victims.push_back(Evict(victim_key));
   }
-  entries_.emplace(entry.key, entry);
+  entries_.emplace(entry.key, Resident{entry, next_seq_++});
   used_bytes_ += entry.bytes;
   ++stats_.insertions;
   stats_.evictions += victims.size();
   if (evicted != nullptr) {
-    *evicted = std::move(victims);
+    evicted->clear();
+    for (const Resident& v : victims) {
+      evicted->push_back(v.entry);
+    }
   }
   return true;
 }
@@ -85,10 +95,7 @@ bool ReferenceExpertCache::SetReservation(uint64_t bytes, double now,
     if (!PickVictim(now, &victim_key)) {
       break;  // Only pinned entries left; best effort until pins release.
     }
-    const auto it = entries_.find(victim_key);
-    victims.push_back(it->second);
-    used_bytes_ -= it->second.bytes;
-    entries_.erase(it);
+    victims.push_back(Evict(victim_key).entry);
   }
   stats_.evictions += victims.size();
   if (evicted != nullptr) {
@@ -102,11 +109,11 @@ bool ReferenceExpertCache::Remove(uint64_t key, CacheEntry* removed) {
   if (it == entries_.end()) {
     return false;
   }
-  FMOE_CHECK_MSG(it->second.pin_count == 0, "removing pinned expert " << key);
+  FMOE_CHECK_MSG(it->second.entry.pin_count == 0, "removing pinned expert " << key);
   if (removed != nullptr) {
-    *removed = it->second;
+    *removed = it->second.entry;
   }
-  used_bytes_ -= it->second.bytes;
+  used_bytes_ -= it->second.entry.bytes;
   entries_.erase(it);
   return true;
 }
@@ -120,8 +127,8 @@ void ReferenceExpertCache::Touch(uint64_t key, double now) {
 
 void ReferenceExpertCache::DecayFrequencies(double factor) {
   FMOE_CHECK(factor > 0.0 && factor <= 1.0);
-  for (auto& [key, entry] : entries_) {
-    entry.frequency *= factor;
+  for (auto& [key, resident] : entries_) {
+    resident.entry.frequency *= factor;
   }
 }
 
@@ -146,24 +153,22 @@ void ReferenceExpertCache::Unpin(uint64_t key) {
 }
 
 std::vector<uint64_t> ReferenceExpertCache::EvictionOrder(double now) const {
-  std::vector<std::pair<double, uint64_t>> scored;
-  scored.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    if (entry.pin_count > 0) {
-      continue;
+  std::vector<const Resident*> unpinned;
+  unpinned.reserve(entries_.size());
+  for (const auto& [key, resident] : entries_) {
+    if (resident.entry.pin_count == 0) {
+      unpinned.push_back(&resident);
     }
-    scored.emplace_back(policy_->EvictionScore(entry, now), key);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) {
-      return a.first > b.first;
-    }
-    return a.second < b.second;
+  std::sort(unpinned.begin(), unpinned.end(), [&](const Resident* a, const Resident* b) {
+    const double sa = policy_->EvictionScore(a->entry, now);
+    const double sb = policy_->EvictionScore(b->entry, now);
+    return sa != sb ? sa > sb : a->seq > b->seq;
   });
   std::vector<uint64_t> keys;
-  keys.reserve(scored.size());
-  for (const auto& [score, key] : scored) {
-    keys.push_back(key);
+  keys.reserve(unpinned.size());
+  for (const Resident* resident : unpinned) {
+    keys.push_back(resident->entry.key);
   }
   return keys;
 }
@@ -171,9 +176,10 @@ std::vector<uint64_t> ReferenceExpertCache::EvictionOrder(double now) const {
 std::vector<uint64_t> ReferenceExpertCache::Keys() const {
   std::vector<uint64_t> keys;
   keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
+  for (const auto& [key, resident] : entries_) {
     keys.push_back(key);
   }
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 

@@ -1,11 +1,12 @@
-// Naive linear-scan expert cache: the pre-index implementation, kept verbatim as an
-// executable specification. The property tests drive it side by side with the indexed
-// ExpertCache under random operation streams and demand identical victim sequences, byte
-// accounting, and stats; bench_cache uses it as the "before" side of the victim-selection
-// microbenchmark. Do not optimize this class — its O(n) scans and eager decay sweeps ARE the
-// semantics the indexed cache must reproduce bit for bit.
-#ifndef FMOE_SRC_CACHE_REFERENCE_CACHE_H_
-#define FMOE_SRC_CACHE_REFERENCE_CACHE_H_
+// Naive linear-scan expert cache: the pre-index implementation, kept as an executable
+// specification. The property tests drive it side by side with the indexed ExpertCache under
+// random operation streams and demand identical victim sequences, byte accounting, and stats;
+// bench_cache uses it as the "before" side of the victim-selection microbenchmark. Do not
+// optimize this class — its O(n) scans and eager decay sweeps ARE the semantics the indexed
+// cache must reproduce bit for bit, including the tie rule: among exactly equal eviction
+// scores the most recently inserted entry is the victim, whatever order the scan visits.
+#ifndef FMOE_TESTS_REFERENCE_CACHE_H_
+#define FMOE_TESTS_REFERENCE_CACHE_H_
 
 #include <cstdint>
 #include <unordered_map>
@@ -45,16 +46,23 @@ class ReferenceExpertCache {
   std::vector<uint64_t> Keys() const;
 
  private:
+  struct Resident {
+    CacheEntry entry;
+    uint64_t seq = 0;  // Insertion sequence: larger = inserted later.
+  };
+
   bool PickVictim(double now, uint64_t* victim) const;
+  Resident Evict(uint64_t key);
 
   uint64_t capacity_bytes_;
   uint64_t reserved_bytes_ = 0;
   const EvictionPolicy* policy_;  // Not owned.
   uint64_t used_bytes_ = 0;
-  std::unordered_map<uint64_t, CacheEntry> entries_;
+  uint64_t next_seq_ = 0;
+  std::unordered_map<uint64_t, Resident> entries_;
   CacheStats stats_;
 };
 
 }  // namespace fmoe
 
-#endif  // FMOE_SRC_CACHE_REFERENCE_CACHE_H_
+#endif  // FMOE_TESTS_REFERENCE_CACHE_H_
