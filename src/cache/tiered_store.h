@@ -111,8 +111,7 @@ class TieredExpertStore {
   // Attaches a trace recorder (pure observer). Tier movements become instants on
   // `host_track`; the NVMe link's transfers go on `nvme_track`. The host ExpertCache itself
   // is deliberately NOT traced: its evictions are spills of copies whose GPU fate is already
-  // tracked, and feeding them into the recorder's evicted-before-use machinery would corrupt
-  // demand-stall attribution.
+  // tracked, and they are recorded here as "spill-to-nvme" tier instants instead.
   void set_trace(TraceRecorder* trace, int host_track, int nvme_track);
 
   // --- Residency queries. ---

@@ -161,24 +161,9 @@ ExperimentResult RunOffline(const std::string& system_name, const ExperimentOpti
 
 ExperimentResult RunOnline(const std::string& system_name, const ExperimentOptions& options,
                            const TraceProfile& trace, size_t request_count) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  const std::vector<Request> requests = generator.Generate(request_count);
-
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
   // Online protocol: empty history (§6.3) — serve straight off the trace, FIFO.
-  for (const Request& request : requests) {
-    engine.ServeRequest(request);
-  }
-
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
-  return result;
+  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
+  return RunReplay(system_name, options, generator.Generate(request_count));
 }
 
 ExperimentResult RunScheduledReplay(const std::string& system_name,

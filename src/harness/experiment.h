@@ -1,9 +1,13 @@
 // Experiment runners reproducing the paper's evaluation methodology (§6.1):
 //   * RunOffline — standard 7:3 protocol: history requests warm the policy (expert-map store /
 //     EAM) and the cache, then the test requests are served and measured.
-//   * RunOnline  — cold start (empty history) against an Azure-like arrival trace; requests are
-//     served in arrival order and end-to-end latencies include queueing (§6.3).
-// Every figure bench and the integration tests are thin loops over these two calls.
+//   * RunReplay  — cold start (empty history): a given request sequence is served in order on
+//     one engine; end-to-end latencies include queueing. RunOnline is RunReplay over an
+//     Azure-like arrival trace (§6.3).
+//   * RunScheduledReplay — the same cold start through a continuous-batching scheduler with
+//     an admission policy; RunScheduled wraps it over a generated trace.
+//   * RunCluster — a generated trace routed across several replica engines.
+// Every figure bench, fmoe_sim and the integration tests are thin loops over these calls.
 #ifndef FMOE_SRC_HARNESS_EXPERIMENT_H_
 #define FMOE_SRC_HARNESS_EXPERIMENT_H_
 

@@ -42,16 +42,42 @@ double StallAttribution::TierSum() const {
   return sum;
 }
 
-void StallStateMachine::OnPrefetchIssued(uint64_t key) {
-  key_state_[key] = KeyState::kPrefetchedUnused;
+void StallAttribution::AddStall(StallClass cls, double stall) {
+  const size_t i = static_cast<size_t>(cls);
+  FMOE_CHECK(i < static_cast<size_t>(StallClass::kCount));
+  seconds[i] += stall;
+  misses[i] += 1;
+  // Same addition sequence as the engine's demand_stall accumulation (one add per served
+  // miss, in serve order) so the totals compare bitwise equal.
+  total_seconds += stall;
+  total_misses += 1;
 }
 
-void StallStateMachine::OnExpertServed(uint64_t key) { key_state_.erase(key); }
+void StallAttribution::AddTier(StallTier tier, double stall) {
+  const size_t i = static_cast<size_t>(tier);
+  FMOE_CHECK(i < static_cast<size_t>(StallTier::kCount));
+  tier_seconds[i] += stall;
+  tier_misses[i] += 1;
+}
+
+StallStateMachine::StallStateMachine(size_t num_keys)
+    : key_state_(num_keys, KeyState::kNoIntent) {}
+
+StallStateMachine::KeyState& StallStateMachine::StateOf(uint64_t key) {
+  FMOE_CHECK(key < key_state_.size());
+  return key_state_[key];
+}
+
+void StallStateMachine::OnPrefetchIssued(uint64_t key) {
+  StateOf(key) = KeyState::kPrefetchedUnused;
+}
+
+void StallStateMachine::OnExpertServed(uint64_t key) { StateOf(key) = KeyState::kNoIntent; }
 
 void StallStateMachine::OnEvicted(uint64_t key) {
-  auto it = key_state_.find(key);
-  if (it != key_state_.end() && it->second == KeyState::kPrefetchedUnused) {
-    it->second = KeyState::kEvictedBeforeUse;
+  KeyState& state = StateOf(key);
+  if (state == KeyState::kPrefetchedUnused) {
+    state = KeyState::kEvictedBeforeUse;
   }
 }
 
@@ -63,30 +89,12 @@ StallClass StallStateMachine::ClassifyMiss(uint64_t key, MissKind kind) {
   }
   // Full miss. If a previously prefetched copy was evicted before its first use, the miss is
   // the eviction's fault; the mark is consumed so later misses count as never-prefetched.
-  auto it = key_state_.find(key);
-  if (it != key_state_.end() && it->second == KeyState::kEvictedBeforeUse) {
-    key_state_.erase(it);
+  KeyState& state = StateOf(key);
+  if (state == KeyState::kEvictedBeforeUse) {
+    state = KeyState::kNoIntent;
     return StallClass::kEvictedBeforeUse;
   }
   return StallClass::kNeverPrefetched;
-}
-
-void StallStateMachine::AttributeStall(StallClass cls, double seconds) {
-  const size_t i = static_cast<size_t>(cls);
-  FMOE_CHECK(i < static_cast<size_t>(StallClass::kCount));
-  stall_.seconds[i] += seconds;
-  stall_.misses[i] += 1;
-  // Same addition sequence as the engine's demand_stall accumulation (one add per served
-  // miss, in serve order) so the totals compare bitwise equal.
-  stall_.total_seconds += seconds;
-  stall_.total_misses += 1;
-}
-
-void StallStateMachine::AttributeStallTier(StallTier tier, double seconds) {
-  const size_t i = static_cast<size_t>(tier);
-  FMOE_CHECK(i < static_cast<size_t>(StallTier::kCount));
-  stall_.tier_seconds[i] += seconds;
-  stall_.tier_misses[i] += 1;
 }
 
 ControlSignalTracker::ControlSignalTracker(double window_sec) : window_sec_(window_sec) {

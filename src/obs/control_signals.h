@@ -1,20 +1,17 @@
-// Live control-plane signals derived from stall attribution (DESIGN.md §5j).
+// Stall classification and live control-plane signals (DESIGN.md §5f, §5j).
 //
-// PR 5 introduced the stall-attribution taxonomy as a *post-hoc reporter* inside
-// TraceRecorder: every demand-stall second is classified as never-prefetched /
-// prefetch-in-flight / evicted-before-use, rendered after the run. This header promotes that
-// state machine to a first-class, reusable component and adds a *live* signal path on top:
-//
-//   * StallStateMachine — the per-key prefetch-lifecycle classifier, extracted verbatim from
-//     TraceRecorder (which now delegates to its own instance, so traced output stays
-//     bitwise-identical to the §5f goldens).
+//   * StallStateMachine — the per-key prefetch-lifecycle classifier. Each ServingEngine owns
+//     exactly one and feeds it unconditionally, so every demand miss is classified once, as
+//     never-prefetched / prefetch-in-flight / evicted-before-use, whether or not anything is
+//     attached. The engine charges the same class to an attached TraceRecorder's
+//     StallAttribution and to an attached ControlSignalTracker.
 //   * ControlSignals — a windowed snapshot of the rates a closed-loop admission controller
 //     needs: per-class stall rates, queueing delay, cache-thrash ratio, prefetch-in-flight
 //     share (see src/serving/admission.h for the consumers).
 //   * ControlSignalTracker — accumulates timestamped events in virtual time and samples them
-//     over a sliding window. Like the tracer it is fed by engine hooks, but unlike the tracer
-//     its output *is* read back by controllers — attaching one only changes a run when a
-//     closed-loop admission policy acts on the samples.
+//     over a sliding window. Unlike the tracer its output *is* read back by controllers —
+//     attaching one only changes a run when a closed-loop admission policy acts on the
+//     samples.
 //
 // Everything here runs in virtual time (the engine's SimClock), so closed-loop decisions are
 // deterministic: the same trace + knobs produce the same controller actions on any machine.
@@ -25,7 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 namespace fmoe {
 
@@ -69,29 +66,35 @@ struct StallAttribution {
   double total_seconds = 0.0;
   uint64_t total_misses = 0;
 
+  // Charges `stall` seconds of demand stall (>= 0, possibly 0 for fully hidden misses) to
+  // `cls`.
+  void AddStall(StallClass cls, double stall);
+  // Charges the same stall to the tier that served the bytes (the orthogonal partition;
+  // callers invoke this alongside AddStall for every served miss).
+  void AddTier(StallTier tier, double stall);
+
   double CategorySum() const;  // seconds[0] + seconds[1] + seconds[2].
   double TierSum() const;      // tier_seconds[0] + tier_seconds[1].
 };
 
 // Per-key prefetch-lifecycle state machine: watches prefetch-issue, first-use, and eviction
-// events and classifies every demand miss. One instance belongs to one event stream; the
-// tracer and the live-signal path each own an independent instance fed the same hooks, so
-// classification marks (which ClassifyMiss *consumes*) never leak between consumers.
+// events and classifies every demand miss. Keys are flat expert indices in [0, num_keys); the
+// state is one byte per key, so feeding the machine on every serve costs an array access.
 class StallStateMachine {
  public:
+  explicit StallStateMachine(size_t num_keys);
+
   // A policy-initiated load (prefetch or blocking speculative load) was issued for `key`.
   void OnPrefetchIssued(uint64_t key);
   // The expert was served (hit or miss); any pending prefetch intent is consumed.
   void OnExpertServed(uint64_t key);
-  // The key's cache entry was evicted or removed.
+  // The key's cache entry was evicted.
   void OnEvicted(uint64_t key);
   // Classifies a demand miss observed at issue time (consumes evicted-before-use marks).
   StallClass ClassifyMiss(uint64_t key, MissKind kind);
-  // Charges `seconds` of demand stall (>= 0, possibly 0 for fully hidden misses) to `cls`.
-  void AttributeStall(StallClass cls, double seconds);
-  // Charges the same stall to the tier that served the bytes (the orthogonal partition;
-  // callers invoke this alongside AttributeStall for every served miss).
-  void AttributeStallTier(StallTier tier, double seconds);
+  // Charges one served miss to the attribution (see StallAttribution::AddStall / AddTier).
+  void AttributeStall(StallClass cls, double seconds) { stall_.AddStall(cls, seconds); }
+  void AttributeStallTier(StallTier tier, double seconds) { stall_.AddTier(tier, seconds); }
 
   const StallAttribution& stall() const { return stall_; }
 
@@ -102,12 +105,15 @@ class StallStateMachine {
  private:
   // Per-key prefetch lifecycle for classification.
   enum class KeyState : uint8_t {
-    kPrefetchedUnused = 0,  // Loaded by policy intent, not yet served.
-    kEvictedBeforeUse = 1,  // That copy was evicted before any serve.
+    kNoIntent = 0,          // Never prefetched, or the intent was consumed.
+    kPrefetchedUnused = 1,  // Loaded by policy intent, not yet served.
+    kEvictedBeforeUse = 2,  // That copy was evicted before any serve.
   };
 
+  KeyState& StateOf(uint64_t key);
+
   StallAttribution stall_;
-  std::unordered_map<uint64_t, KeyState> key_state_;
+  std::vector<KeyState> key_state_;  // Indexed by flat expert key.
 };
 
 // Windowed signal snapshot handed to admission controllers. All rates are per second of

@@ -1,7 +1,7 @@
 // Stall-attribution rendering (DESIGN.md §5f).
 //
-// Decomposes a run's `demand_stall` total by cause, as accumulated by TraceRecorder's
-// per-key state machine: {never-prefetched, prefetch-in-flight, evicted-before-use}. The
+// Decomposes a run's `demand_stall` total by cause, as classified by the engine's per-key
+// state machine: {never-prefetched, prefetch-in-flight, evicted-before-use}. The
 // ASCII form goes to stderr after a traced bench run; the JSON fragment is embedded in the
 // Chrome trace export and usable by scripts.
 #ifndef FMOE_SRC_OBS_STALL_REPORT_H_

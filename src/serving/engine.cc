@@ -35,7 +35,8 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
              eviction_policy_.get(), config.tier),
       cache_(store_.gpu()),
       matcher_(config.matcher_latency_scale, config.matcher_queue_depth),
-      trace_(config.trace) {
+      trace_(config.trace),
+      stall_machine_(static_cast<size_t>(model.total_experts())) {
   FMOE_CHECK(policy != nullptr);
   FMOE_CHECK(config.prefetch_distance >= 1);
   cluster_.SetPlacement(config.placement, static_cast<uint64_t>(model.total_experts()));
@@ -132,6 +133,7 @@ void ServingEngine::OnTransferScheduled(int /*device*/, uint64_t tag, double com
 
 void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
   for (const CacheEntry& victim : evicted) {
+    stall_machine_.OnEvicted(victim.key);
     if (victim.prefetch_pending && victim.transfer_tag != 0) {
       const auto chain_it = stage_tag_by_gpu_tag_.find(victim.transfer_tag);
       if (chain_it != stage_tag_by_gpu_tag_.end()) {
@@ -222,11 +224,8 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
         break;
     }
   }
-  if (signals_ != nullptr) {
-    signal_machine_.OnPrefetchIssued(key);
-  }
+  stall_machine_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
-    trace_->OnPrefetchIssued(key);
     trace_->Instant(trace_engine_track_, "prefetch-issue", "prefetch", clock_.now(),
                     {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert),
                      TraceArg::Num("prob", probability), TraceArg::Uint("tag", tag)});
@@ -345,14 +344,11 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     }
   }
   const double stall = std::max(0.0, ready - clock_.now());
-  if (signals_ != nullptr) {
-    signal_machine_.OnPrefetchIssued(key);
-  }
+  // Blocking loads are policy-initiated (speculative baselines): the wait is charged to sync
+  // overhead, NOT demand_stall, so it must not feed the stall attribution. The loaded copy
+  // does count as prefetch intent for later evicted-before-use classification.
+  stall_machine_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
-    // Blocking loads are policy-initiated (speculative baselines): the wait is charged to
-    // sync overhead, NOT demand_stall, so it must not feed the stall attribution. The loaded
-    // copy does count as prefetch intent for later evicted-before-use classification.
-    trace_->OnPrefetchIssued(key);
     trace_->Span(trace_engine_track_, "blocking-load", "stall", clock_.now(),
                  clock_.now() + stall,
                  {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert)});
@@ -530,32 +526,17 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
       const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
       FMOE_CHECK(allocated);
     }
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kNeverResident);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kNeverResident);
-    }
+    job.stall_class = stall_machine_.ClassifyMiss(key, MissKind::kNeverResident);
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
     // jumps ahead of all queued prefetches ("pauses all expert prefetching tasks", §4.5).
     job.ready_at = PromoteQueuedToDemand(entry, key, link, &job.tier_source);
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kQueuedPromoted);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kQueuedPromoted);
-    }
+    job.stall_class = stall_machine_.ClassifyMiss(key, MissKind::kQueuedPromoted);
   } else if (entry.ready_at() > clock_.now()) {
     // Prefetch in flight but late: wait out the remainder. Still a miss by the paper's
     // definition (weights not available when the gate asked), but cheaper than a full load.
     job.ready_at = entry.ready_at();
-    if (signals_ != nullptr) {
-      job.stall_class = signal_machine_.ClassifyMiss(key, MissKind::kInFlightLate);
-    }
-    if (trace_ != nullptr) {
-      job.stall_class = trace_->ClassifyMiss(key, TraceRecorder::MissKind::kInFlightLate);
-    }
+    job.stall_class = stall_machine_.ClassifyMiss(key, MissKind::kInFlightLate);
   } else {
     job.hit = true;
   }
@@ -576,19 +557,19 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   const double stall = std::max(0.0, job.ready_at - clock_.now());
   clock_.AdvanceTo(job.ready_at);
   metrics_.breakdown().demand_stall += stall;
-  if (signals_ != nullptr) {
-    // Live mirror of the traced attribution: the same per-miss AttributeStall sequence on
-    // the engine's own machine, plus a windowed stall event for the controllers.
-    if (!job.hit) {
-      signal_machine_.AttributeStall(job.stall_class, stall);
-      signal_machine_.AttributeStallTier(job.tier_source == TieredExpertStore::Tier::kNvme
-                                             ? StallTier::kNvme
-                                             : StallTier::kHost,
-                                         stall);
+  // One attribution charge per served miss, in serve order — the identical addition sequence
+  // as the demand_stall accumulation above, so the totals stay bitwise equal. The tier
+  // attribution partitions the same misses by serving tier (legacy runs: all host-side).
+  const StallTier tier =
+      job.tier_source == TieredExpertStore::Tier::kNvme ? StallTier::kNvme : StallTier::kHost;
+  if (!job.hit) {
+    stall_machine_.AttributeStall(job.stall_class, stall);
+    stall_machine_.AttributeStallTier(tier, stall);
+    if (signals_ != nullptr) {
       signals_->RecordStall(job.stall_class, stall, clock_.now());
     }
-    signal_machine_.OnExpertServed(key);
   }
+  stall_machine_.OnExpertServed(key);
   if (job.hit) {
     metrics_.RecordHit();
     if (const ConstEntryRef entry = std::as_const(cache_).Find(key);
@@ -600,14 +581,8 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   }
   if (trace_ != nullptr) {
     if (!job.hit) {
-      // One AttributeStall per served miss, in serve order — the identical addition sequence
-      // as the demand_stall accumulation above, so the totals stay bitwise equal. The tier
-      // attribution partitions the same misses by serving tier (legacy runs: all host-side).
       trace_->AttributeStall(job.stall_class, stall);
-      trace_->AttributeStallTier(job.tier_source == TieredExpertStore::Tier::kNvme
-                                     ? StallTier::kNvme
-                                     : StallTier::kHost,
-                                 stall);
+      trace_->AttributeStallTier(tier, stall);
       if (stall > 0.0) {
         trace_->Span(trace_engine_track_, "demand-stall", "stall", stall_start, job.ready_at,
                      {TraceArg::Int("layer", job.id.layer), TraceArg::Int("expert", job.id.expert),
@@ -621,7 +596,6 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
     }
     trace_->Instant(trace_engine_track_, job.hit ? "hit" : "miss", "cache", clock_.now(),
                     std::move(args));
-    trace_->OnExpertServed(key);
   }
   if (job.resident) {
     cache_.Touch(key, clock_.now());

@@ -5,14 +5,16 @@
 namespace fmoe {
 namespace {
 
+constexpr size_t kKeys = 128;  // Flat expert keys the machines below are sized for.
+
 TEST(StallStateMachineTest, FullMissWithNoIntentIsNeverPrefetched) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   EXPECT_EQ(machine.ClassifyMiss(7, MissKind::kNeverResident),
             StallClass::kNeverPrefetched);
 }
 
 TEST(StallStateMachineTest, QueuedAndLatePrefetchesClassifyAsInFlight) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.OnPrefetchIssued(7);
   EXPECT_EQ(machine.ClassifyMiss(7, MissKind::kQueuedPromoted),
             StallClass::kPrefetchInFlight);
@@ -21,7 +23,7 @@ TEST(StallStateMachineTest, QueuedAndLatePrefetchesClassifyAsInFlight) {
 }
 
 TEST(StallStateMachineTest, EvictionBeforeFirstUseChargesTheEviction) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.OnPrefetchIssued(7);
   machine.OnEvicted(7);
   EXPECT_EQ(machine.ClassifyMiss(7, MissKind::kNeverResident),
@@ -32,7 +34,7 @@ TEST(StallStateMachineTest, EvictionBeforeFirstUseChargesTheEviction) {
 }
 
 TEST(StallStateMachineTest, ServeConsumesPrefetchIntent) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.OnPrefetchIssued(7);
   machine.OnExpertServed(7);  // First use: the prefetch did its job.
   machine.OnEvicted(7);       // Evicting a *used* copy is not thrash.
@@ -41,14 +43,14 @@ TEST(StallStateMachineTest, ServeConsumesPrefetchIntent) {
 }
 
 TEST(StallStateMachineTest, EvictingUnknownKeyIsIgnored) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.OnEvicted(99);  // Never prefetched: demand-loaded entries carry no intent.
   EXPECT_EQ(machine.ClassifyMiss(99, MissKind::kNeverResident),
             StallClass::kNeverPrefetched);
 }
 
 TEST(StallStateMachineTest, AttributionPartitionsTotalsByClassAndTier) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.AttributeStall(StallClass::kNeverPrefetched, 0.5);
   machine.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
   machine.AttributeStall(StallClass::kEvictedBeforeUse, 0.0);  // Fully hidden miss.
@@ -66,7 +68,7 @@ TEST(StallStateMachineTest, AttributionPartitionsTotalsByClassAndTier) {
 }
 
 TEST(StallStateMachineTest, ResetAttributionKeepsPrefetchLifecycleState) {
-  StallStateMachine machine;
+  StallStateMachine machine(kKeys);
   machine.OnPrefetchIssued(7);
   machine.OnEvicted(7);
   machine.AttributeStall(StallClass::kNeverPrefetched, 1.0);

@@ -1,6 +1,8 @@
 #include "src/serving/engine.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -478,6 +480,135 @@ TEST(ServingEngineTest, LosslessDefaultNeverServesLowPrecision) {
   engine.ServeRequest(MakeRequest(2, 16, 8));
   EXPECT_EQ(engine.metrics().low_precision_hits(), 0u);
   EXPECT_DOUBLE_EQ(engine.metrics().LowPrecisionShare(), 0.0);
+}
+
+// --- Stall classification (one always-on StallStateMachine per engine). --------------------
+
+// Every miss is classified whether or not a trace or tracker is attached: a bare engine's split
+// covers its demand stall bitwise, and matches the recorder of a traced twin bucket for bucket.
+TEST(EngineStallSplitTest, BareEngineSplitMatchesTracedTwin) {
+  FmoeOptions options;
+  options.store_capacity = 64;
+  FmoePolicy bare_policy(Tiny(), 2, options);
+  FmoePolicy traced_policy(Tiny(), 2, options);
+  EngineConfig config = SmallEngine(Tiny().total_expert_bytes() / 3);
+  config.cache_policy = "fMoE-PriorityLFU";
+  ServingEngine bare(Tiny(), config, &bare_policy);
+  TraceRecorder recorder;
+  config.trace = &recorder;
+  ServingEngine traced(Tiny(), config, &traced_policy);
+
+  std::vector<Request> history;
+  for (uint64_t i = 0; i < 6; ++i) {
+    history.push_back(MakeRequest(i, 16, 8));
+  }
+  bare.WarmupWithHistory(history);
+  traced.WarmupWithHistory(history);
+  for (uint64_t i = 100; i < 103; ++i) {
+    bare.ServeRequest(MakeRequest(i, 16, 8));
+    traced.ServeRequest(MakeRequest(i, 16, 8));
+  }
+
+  const StallAttribution& stall = bare.signal_stall();
+  EXPECT_GT(stall.misses[static_cast<size_t>(StallClass::kPrefetchInFlight)], 0u);
+  EXPECT_GT(stall.misses[static_cast<size_t>(StallClass::kNeverPrefetched)], 0u);
+  // ResetMetrics after warmup resets the split with the metrics it decomposes.
+  EXPECT_EQ(stall.total_seconds, bare.metrics().breakdown().demand_stall);
+  EXPECT_EQ(stall.total_misses, bare.metrics().expert_misses());
+
+  const StallAttribution& twin = recorder.stall();
+  EXPECT_EQ(stall.seconds, twin.seconds);
+  EXPECT_EQ(stall.misses, twin.misses);
+  EXPECT_EQ(stall.tier_seconds, twin.tier_seconds);
+  EXPECT_EQ(stall.tier_misses, twin.tier_misses);
+  EXPECT_EQ(stall.total_seconds, twin.total_seconds);
+  EXPECT_EQ(traced.signal_stall().misses, twin.misses);
+}
+
+// The "cause" argument of the first traced miss on (layer, expert); empty when none.
+std::string FirstMissCause(const TraceRecorder& recorder, int layer, int expert) {
+  const std::string want_layer = std::to_string(layer);
+  const std::string want_expert = std::to_string(expert);
+  for (const TraceEvent& ev : recorder.events()) {
+    if (ev.phase != TracePhase::kInstant || ev.name != "miss") {
+      continue;
+    }
+    std::string got_layer;
+    std::string got_expert;
+    std::string cause;
+    for (const TraceArg& arg : ev.args) {
+      if (arg.key == "layer") got_layer = arg.value;
+      if (arg.key == "expert") got_expert = arg.value;
+      if (arg.key == "cause") cause = arg.value;
+    }
+    if (got_layer == want_layer && got_expert == want_expert) {
+      return cause;
+    }
+  }
+  return "";
+}
+
+// After one prefill iteration whose layer 0 demanded `victim`, a prefetched copy of which was
+// evicted unused: that miss, and only it, is the eviction's fault.
+void ExpectOnlyVictimChargedToEviction(const ServingEngine& engine,
+                                       const TraceRecorder& recorder, int victim) {
+  const size_t evicted = static_cast<size_t>(StallClass::kEvictedBeforeUse);
+  EXPECT_EQ(engine.signal_stall().misses[evicted], 1u);
+  EXPECT_EQ(recorder.stall().misses[evicted], 1u);
+  EXPECT_EQ(engine.signal_stall().seconds, recorder.stall().seconds);
+  EXPECT_EQ(FirstMissCause(recorder, 0, victim), "evicted-before-use");
+}
+
+TEST(EngineStallSplitTest, EvictingInsertChargesNextMissToEviction) {
+  OnDemandPolicy policy(OnDemandOptions{.expert_agnostic = false});
+  // One-expert cache: the prefetch pin cap (capacity / (2 * expert_bytes)) is 0, so a second
+  // prefetch's insert evicts the first while it is still unused.
+  EngineConfig config = SmallEngine(Tiny().expert_bytes);
+  TraceRecorder recorder;
+  config.trace = &recorder;
+  ServingEngine engine(Tiny(), config, &policy);
+  EngineHandle& handle = engine;
+  const Request request = MakeRequest(1, /*prompt=*/2, /*decode=*/2);
+  const std::vector<int> layer0 =
+      engine.gate().ActivatedExperts(request.routing, 0, 0, request.prompt_tokens);
+  ASSERT_FALSE(layer0.empty());
+  ASSERT_LT(layer0.size(), static_cast<size_t>(Tiny().experts_per_layer));
+  const int victim = layer0.front();
+  int other = 0;
+  while (std::find(layer0.begin(), layer0.end(), other) != layer0.end()) {
+    ++other;
+  }
+
+  handle.PrefetchAsync(ExpertId{0, victim}, 0.9, 1.0);
+  handle.PrefetchAsync(ExpertId{0, other}, 0.5, 0.5);
+  ASSERT_FALSE(handle.IsCached(ExpertId{0, victim}));
+  engine.AdmitRequest(request);
+  ASSERT_TRUE(engine.StepIteration());  // Prefill only: layer 0 runs once.
+  ExpectOnlyVictimChargedToEviction(engine, recorder, victim);
+}
+
+TEST(EngineStallSplitTest, KvReservationChargesNextMissToEviction) {
+  OnDemandPolicy policy(OnDemandOptions{.expert_agnostic = false});
+  // The prefill reserves kv_bytes_per_token * prompt = 4 KiB of KV cache, so one expert fits
+  // before the request starts and none fits once the reservation lands.
+  EngineConfig config = SmallEngine(Tiny().expert_bytes + 2048);
+  config.tier.kv_bytes_per_token = 1024.0;
+  TraceRecorder recorder;
+  config.trace = &recorder;
+  ServingEngine engine(Tiny(), config, &policy);
+  EngineHandle& handle = engine;
+  const Request request = MakeRequest(1, /*prompt=*/4, /*decode=*/2);
+  const std::vector<int> layer0 =
+      engine.gate().ActivatedExperts(request.routing, 0, 0, request.prompt_tokens);
+  ASSERT_FALSE(layer0.empty());
+  const int victim = layer0.front();
+
+  handle.PrefetchAsync(ExpertId{0, victim}, 0.9, 1.0);
+  ASSERT_TRUE(handle.IsCached(ExpertId{0, victim}));
+  engine.AdmitRequest(request);
+  ASSERT_TRUE(engine.StepIteration());  // The reservation evicts the prefetch before layer 0.
+  EXPECT_EQ(engine.cache().stats().evictions, 1u);
+  ExpectOnlyVictimChargedToEviction(engine, recorder, victim);
 }
 
 }  // namespace

@@ -288,5 +288,33 @@ TEST(SchedulerFmoeTest, FmoePolicyHandlesContinuousBatching) {
   EXPECT_GT(engine.metrics().HitRate(), 0.0);
 }
 
+// Open loop detaches any control-signal tracker (ResetController), yet the engine still
+// classifies every miss: the stall split covers the scheduled run's demand stall exactly.
+TEST(SchedulerFmoeTest, OpenLoopRunKeepsTheStallSplit) {
+  FmoeOptions options;
+  options.store_capacity = 64;
+  FmoePolicy policy(Tiny(), 2, options);
+  EngineConfig config = SmallEngine();
+  config.expert_cache_bytes = Tiny().total_expert_bytes() / 3;
+  config.cache_policy = "fMoE-PriorityLFU";
+  ServingEngine engine(Tiny(), config, &policy);
+  ControlSignalTracker tracker;
+  engine.SetControlSignals(&tracker);
+  ContinuousBatchScheduler scheduler(&engine, SchedulerOptions{});
+  std::vector<Request> requests;
+  for (uint64_t i = 0; i < 12; ++i) {
+    requests.push_back(MakeRequest(i, 0.001 * static_cast<double>(i), 6));
+  }
+  ASSERT_EQ(scheduler.Run(requests).size(), 12u);
+
+  EXPECT_EQ(tracker.Sample(engine.now()).stalls, 0u);  // Detached before the first serve.
+  const StallAttribution& stall = engine.signal_stall();
+  EXPECT_GT(stall.total_seconds, 0.0);
+  EXPECT_EQ(stall.total_seconds, engine.metrics().breakdown().demand_stall);
+  EXPECT_EQ(stall.total_misses, engine.metrics().expert_misses());
+  // Two-tier run: every miss is served from host.
+  EXPECT_EQ(stall.tier_misses[static_cast<size_t>(StallTier::kHost)], stall.total_misses);
+}
+
 }  // namespace
 }  // namespace fmoe

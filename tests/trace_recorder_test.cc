@@ -1,5 +1,5 @@
-// Tests for the observability layer (src/obs/): recorder bookkeeping, the stall-attribution
-// state machine, the Chrome trace-event exporter (schema pinned by a checked-in golden), and
+// Tests for the observability layer (src/obs/): recorder bookkeeping, the stall attribution
+// it accumulates, the Chrome trace-event exporter (schema pinned by a checked-in golden), and
 // the two end-to-end guarantees DESIGN.md §5f promises — attaching a recorder never changes a
 // run's results, and the attributed stall total is bitwise equal to
 // LatencyBreakdown::demand_stall.
@@ -55,43 +55,6 @@ TEST(TraceRecorderTest, TimeSourceFeedsNow) {
   EXPECT_DOUBLE_EQ(recorder.now(), 2.5);
 }
 
-TEST(StallAttributionTest, MissWithoutIntentIsNeverPrefetched) {
-  TraceRecorder recorder;
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
-TEST(StallAttributionTest, QueuedAndLatePrefetchesAreInFlight) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kQueuedPromoted),
-            StallClass::kPrefetchInFlight);
-  recorder.OnPrefetchIssued(8);
-  EXPECT_EQ(recorder.ClassifyMiss(8, TraceRecorder::MissKind::kInFlightLate),
-            StallClass::kPrefetchInFlight);
-}
-
-TEST(StallAttributionTest, EvictionBeforeUseIsChargedOnce) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  recorder.OnEvicted(7);
-  // The full miss consumes the evicted-before-use mark...
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kEvictedBeforeUse);
-  // ...so a second miss on the same key is a plain never-prefetched.
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
-TEST(StallAttributionTest, ServeConsumesPrefetchIntent) {
-  TraceRecorder recorder;
-  recorder.OnPrefetchIssued(7);
-  recorder.OnExpertServed(7);  // First use: the prefetch did its job.
-  recorder.OnEvicted(7);       // Evicting a used copy is not evicted-before-use.
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kNeverPrefetched);
-}
-
 TEST(StallAttributionTest, AttributeStallAccumulatesPerClassAndTotal) {
   TraceRecorder recorder;
   recorder.AttributeStall(StallClass::kNeverPrefetched, 0.5);
@@ -106,11 +69,10 @@ TEST(StallAttributionTest, AttributeStallAccumulatesPerClassAndTotal) {
   EXPECT_DOUBLE_EQ(stall.CategorySum(), 1.0);
 }
 
-TEST(TraceRecorderTest, ClearEventsKeepsTracksAndPrefetchState) {
+TEST(TraceRecorderTest, ClearEventsKeepsTracks) {
   TraceRecorder recorder;
   const int track = recorder.RegisterTrack("engine");
   recorder.Span(track, "attention", "compute", 0.0, 1.0);
-  recorder.OnPrefetchIssued(7);
   recorder.AttributeStall(StallClass::kNeverPrefetched, 1.0);
 
   recorder.ClearEvents();  // The warmup → measured-phase reset.
@@ -119,11 +81,6 @@ TEST(TraceRecorderTest, ClearEventsKeepsTracksAndPrefetchState) {
   EXPECT_DOUBLE_EQ(recorder.stall().total_seconds, 0.0);
   EXPECT_EQ(recorder.stall().total_misses, 0u);
   ASSERT_EQ(recorder.track_names().size(), 1u);  // Tracks survive.
-  // The per-key prefetch intent survives too: a warmup prefetch evicted after the reset
-  // still classifies as evicted-before-use.
-  recorder.OnEvicted(7);
-  EXPECT_EQ(recorder.ClassifyMiss(7, TraceRecorder::MissKind::kNeverResident),
-            StallClass::kEvictedBeforeUse);
 }
 
 TEST(StallReportTest, RendersEveryClassAndTotal) {
