@@ -13,10 +13,13 @@
 // contract): closed loop must meet the SLO on the burst trace at a strictly lower p99 than
 // open loop, else exit 2.
 //
-// Usage: bench_admission [--small] [--json PATH]
+// Usage: bench_admission [--small] [--json PATH] [--jobs N]
 //   --small      CI smoke configuration: shorter traces.
 //   --json PATH  Also write the results as JSON to PATH (the BENCH_admission.json format).
+//   --jobs N     Worker threads for the plan runner (0 = one per hardware thread); output is
+//                byte-identical for any value.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -37,35 +40,30 @@ namespace {
 // must trip the shedder.
 constexpr double kSloSec = 1.0;
 constexpr uint64_t kSeed = 42;
+constexpr int kMaxBatch = 4;
 
 struct Cell {
   std::string trace;
   std::string policy;
-  ExperimentResult result;
+  ExperimentResult result{};
 };
 
-ExperimentOptions BaseOptions() {
+ExperimentOptions BaseOptions(bool closed_loop) {
   ExperimentOptions options = bench::SweepOptions(TinyTestConfig(), LmsysLikeProfile());
   options.max_decode_tokens = 16;
+  if (closed_loop) {
+    options.admission.policy = AdmissionPolicyKind::kGradient;
+    options.admission.slo_sec = kSloSec;
+    options.admission.window_sec = 0.5;
+    options.admission.update_period_sec = 0.02;
+  }
   return options;
 }
 
 DatasetProfile Prompts() {
   DatasetProfile prompts = LmsysLikeProfile();
-  prompts.max_decode_tokens = 16;  // Replay runners take requests as given: cap at the source.
+  prompts.max_decode_tokens = 16;  // Given requests are served as they are: cap at the source.
   return prompts;
-}
-
-SchedulerOptions MakeSched(bool closed_loop) {
-  SchedulerOptions sched;
-  sched.max_batch_size = 4;
-  if (closed_loop) {
-    sched.admission.policy = AdmissionPolicyKind::kGradient;
-    sched.admission.slo_sec = kSloSec;
-    sched.admission.window_sec = 0.5;
-    sched.admission.update_period_sec = 0.02;
-  }
-  return sched;
 }
 
 double P99(const std::vector<double>& latencies) {
@@ -93,8 +91,7 @@ void WriteJson(const std::vector<Cell>& cells, std::ostream& out) {
          "BENCH_admission.json\",\n";
   out << "  \"config\": {\"model\": \"" << JsonEscape(TinyTestConfig().name)
       << "\", \"system\": \"fMoE\", \"slo_s\": " << kSloSec
-      << ", \"max_batch_size\": " << MakeSched(false).max_batch_size
-      << ", \"seed\": " << kSeed << "},\n";
+      << ", \"max_batch_size\": " << kMaxBatch << ", \"seed\": " << kSeed << "},\n";
   out << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -114,7 +111,7 @@ void WriteJson(const std::vector<Cell>& cells, std::ostream& out) {
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
+int Run(bool small, const std::string& json_path, int jobs) {
   const size_t count = small ? 256 : 512;
 
   // Burst: quiet phases the engine absorbs easily (~10 req/s against ~5 ms batched service),
@@ -125,23 +122,30 @@ int Run(bool small, const std::string& json_path) {
   burst.burst_rate = 2000.0;
   burst.period_sec = 4.0;
   burst.burst_fraction = 0.25;
-  const std::vector<Request> burst_trace = MakeBurstTrace(burst, Prompts(), count, kSeed);
   // Overload: sustained arrivals past what the batch can serve, so queues grow unboundedly.
-  const std::vector<Request> overload_trace =
-      MakeOverloadTrace(1000.0, Prompts(), count, kSeed);
+  const std::vector<std::pair<std::string, std::vector<Request>>> traces{
+      {"burst", MakeBurstTrace(burst, Prompts(), count, kSeed)},
+      {"overload", MakeOverloadTrace(1000.0, Prompts(), count, kSeed)}};
 
-  const std::vector<std::pair<std::string, const std::vector<Request>*>> traces{
-      {"burst", &burst_trace}, {"overload", &overload_trace}};
-
+  ExperimentPlan plan;
   std::vector<Cell> cells;
   for (const auto& [trace_name, requests] : traces) {
     for (const bool closed_loop : {false, true}) {
-      Cell cell;
-      cell.trace = trace_name;
-      cell.policy = closed_loop ? "gradient" : "open-loop";
-      cell.result = RunScheduledReplay("fMoE", BaseOptions(), *requests, MakeSched(closed_loop));
-      cells.push_back(std::move(cell));
+      cells.push_back({.trace = trace_name, .policy = closed_loop ? "gradient" : "open-loop"});
+      ExperimentTask task{.system = "fMoE",
+                          .options = BaseOptions(closed_loop),
+                          .source = RequestSource::kRequests,
+                          .requests = requests,
+                          .serving = Serving::kContinuous};
+      task.scheduler.max_batch_size = kMaxBatch;
+      plan.Add(std::move(task));
     }
+  }
+  RunnerOptions runner;
+  runner.jobs = jobs;
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i].result = results[i];
   }
 
   AsciiTable table({"trace", "policy", "arrived", "served", "shed", "mean e2e (s)",
@@ -156,7 +160,7 @@ int Run(bool small, const std::string& json_path) {
                   bench::Pct(c.result.hit_rate)});
   }
   std::printf("Admission control under burst/overload: fMoE on %s, SLO %.1f s, batch limit %d\n",
-              TinyTestConfig().name.c_str(), kSloSec, MakeSched(false).max_batch_size);
+              TinyTestConfig().name.c_str(), kSloSec, kMaxBatch);
   table.Print(std::cout);
 
   // The exit-code contract: closed loop meets the SLO on the burst trace, strictly below the
@@ -195,15 +199,18 @@ int Run(bool small, const std::string& json_path) {
 int main(int argc, char** argv) {
   bool small = false;
   std::string json_path;
+  int jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      jobs = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: bench_admission [--small] [--json PATH]\n");
+      std::fprintf(stderr, "usage: bench_admission [--small] [--json PATH] [--jobs N]\n");
       return 1;
     }
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(small, json_path, jobs);
 }

@@ -117,7 +117,7 @@ E2eRow RunE2e(const char* system, const ModelConfig& model, const char* tag) {
   options.cache_fraction = 0.22;
   options.seed = 42;
   const auto start = Clock::now();
-  const ExperimentResult result = RunOffline(system, options);
+  const ExperimentResult result = RunExperiment({.system = system, .options = options});
   const auto stop = Clock::now();
   E2eRow row;
   row.model = tag;

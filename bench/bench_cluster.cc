@@ -12,10 +12,13 @@
 // requests to one replica, so that replica's map store and expert cache specialize instead
 // of every replica relearning every cluster.
 //
-// Usage: bench_cluster [--small] [--json PATH]
+// Usage: bench_cluster [--small] [--json PATH] [--jobs N]
 //   --small      CI smoke configuration: fewer requests, R in {1, 4}.
 //   --json PATH  Also write the results as JSON to PATH (the BENCH_cluster.json format).
+//   --jobs N     Worker threads for the plan runner (0 = one per hardware thread); output is
+//                byte-identical for any value.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -35,7 +38,7 @@ namespace {
 struct Cell {
   int replicas = 1;
   RouterPolicy policy = RouterPolicy::kRoundRobin;
-  ExperimentResult result;
+  ExperimentResult result{};
 };
 
 ExperimentOptions BaseOptions(size_t requests, int replicas, RouterPolicy policy) {
@@ -84,7 +87,7 @@ void WriteJson(const std::vector<Cell>& cells, const ExperimentOptions& sample,
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
+int Run(bool small, const std::string& json_path, int jobs) {
   const size_t requests = small ? 48 : 128;
   // Arrivals ~12 req/s against a single tiny-model engine that serves a few req/s: the R=1
   // row is queueing-bound, so replica scale-out converts directly into makespan.
@@ -97,25 +100,25 @@ int Run(bool small, const std::string& json_path) {
   TraceProfile trace;
   trace.mean_arrival_rate = trace_rate;
 
+  ExperimentPlan plan;
   std::vector<Cell> cells;
   for (const int replicas : replica_counts) {
-    if (replicas == 1) {
-      // One engine: the router never fires, so a single row covers all policies.
-      Cell cell;
-      cell.replicas = 1;
-      cell.policy = RouterPolicy::kRoundRobin;
-      cell.result = RunCluster("fMoE", BaseOptions(requests, 1, cell.policy), trace, requests);
-      cells.push_back(std::move(cell));
-      continue;
+    // One engine: the router never fires, so a single row covers all policies.
+    for (const RouterPolicy policy :
+         replicas == 1 ? std::vector<RouterPolicy>{RouterPolicy::kRoundRobin} : policies) {
+      cells.push_back({.replicas = replicas, .policy = policy});
+      plan.Add({.system = "fMoE",
+                .options = BaseOptions(requests, replicas, policy),
+                .source = RequestSource::kTrace,
+                .trace = trace,
+                .request_count = requests});
     }
-    for (const RouterPolicy policy : policies) {
-      Cell cell;
-      cell.replicas = replicas;
-      cell.policy = policy;
-      cell.result =
-          RunCluster("fMoE", BaseOptions(requests, replicas, policy), trace, requests);
-      cells.push_back(std::move(cell));
-    }
+  }
+  RunnerOptions runner;
+  runner.jobs = jobs;
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i].result = results[i];
   }
 
   double r1_rps = 0.0;
@@ -175,15 +178,18 @@ int Run(bool small, const std::string& json_path) {
 int main(int argc, char** argv) {
   bool small = false;
   std::string json_path;
+  int jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      jobs = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: bench_cluster [--small] [--json PATH]\n");
+      std::fprintf(stderr, "usage: bench_cluster [--small] [--json PATH] [--jobs N]\n");
       return 1;
     }
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(small, json_path, jobs);
 }

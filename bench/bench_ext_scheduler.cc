@@ -5,9 +5,9 @@
 // interaction between modern request scheduling and expert offloading that the paper's
 // single-request online protocol leaves open.
 //
-// Each cell is a kScheduled plan task (RunScheduled): the trace is regenerated per task from
-// the same (trace, dataset, seed) triple, so every cell replays the identical request
-// sequence regardless of which worker runs it.
+// Each cell is a continuous-batching plan task over the trace: the trace is regenerated per
+// task from the same (trace, dataset, seed) triple, so every cell replays the identical
+// request sequence regardless of which worker runs it.
 #include "bench/bench_common.h"
 #include "src/util/stats.h"
 
@@ -29,10 +29,19 @@ int main(int argc, char** argv) {
   trace.mean_arrival_rate = 0.12;  // Heavy enough that batching matters.
   trace.max_decode_tokens = 32;
 
-  auto options = [&]() {
-    fmoe::ExperimentOptions o = SweepOptions(model, fmoe::LmsysLikeProfile());
-    o.max_decode_tokens = 32;
-    return o;
+  // A scheduled cell: `sched` sets the batch limit and queue discipline.
+  auto task = [&](const std::string& system, const fmoe::SchedulerOptions& sched,
+                  std::vector<std::string> tags) {
+    fmoe::ExperimentOptions options = SweepOptions(model, fmoe::LmsysLikeProfile());
+    options.max_decode_tokens = 32;
+    return fmoe::ExperimentTask{.system = system,
+                                .options = options,
+                                .source = fmoe::RequestSource::kTrace,
+                                .trace = trace,
+                                .request_count = kRequests,
+                                .serving = fmoe::Serving::kContinuous,
+                                .scheduler = sched,
+                                .tags = std::move(tags)};
   };
 
   std::vector<size_t> batch_cells;       // system-major, then batch limit.
@@ -45,18 +54,17 @@ int main(int argc, char** argv) {
           for (const int batch : batches) {
             fmoe::SchedulerOptions sched;
             sched.max_batch_size = batch;
-            batch_cells.push_back(plan.AddScheduled(
-                system, options(), trace, kRequests, sched,
-                {"group=batching", "system=" + system, "batch=" + std::to_string(batch)}));
+            batch_cells.push_back(plan.Add(task(
+                system, sched,
+                {"group=batching", "system=" + system, "batch=" + std::to_string(batch)})));
           }
         }
         for (const auto& [label, discipline] : disciplines) {
           fmoe::SchedulerOptions sched;
           sched.max_batch_size = 1;
           sched.discipline = discipline;
-          discipline_cells.push_back(plan.AddScheduled(
-              "fMoE", options(), trace, kRequests, sched,
-              {"group=discipline", "discipline=" + label}));
+          discipline_cells.push_back(
+              plan.Add(task("fMoE", sched, {"group=discipline", "discipline=" + label})));
         }
       },
       [&](const std::vector<fmoe::ExperimentResult>& results, std::ostream& out) {

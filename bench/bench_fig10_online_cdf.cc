@@ -26,9 +26,12 @@ int main(int argc, char** argv) {
           trace.mean_arrival_rate = model.name == "Qwen1.5-MoE" ? 0.6 : 0.08;
           trace.max_decode_tokens = 48;
           for (const std::string& system : systems) {
-            cells.push_back(plan.AddOnline(
-                system, StandardOptions(model, fmoe::LmsysLikeProfile()), trace, 64,
-                {"model=" + model.name, "system=" + system}));
+            cells.push_back(plan.Add({.system = system,
+                                      .options = StandardOptions(model, fmoe::LmsysLikeProfile()),
+                                      .source = fmoe::RequestSource::kTrace,
+                                      .trace = trace,
+                                      .request_count = 64,
+                                      .tags = {"model=" + model.name, "system=" + system}}));
           }
         }
       },

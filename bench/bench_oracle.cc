@@ -91,7 +91,7 @@ int Run(bool small, const std::string& json_path) {
       cell.cache_fraction = fraction;
       ExperimentOptions options = BaseOptions(small);
       options.cache_fraction = fraction;
-      cell.result = RunOffline(system, options);
+      cell.result = RunExperiment({.system = system, .options = options});
       cells.push_back(std::move(cell));
     }
   }

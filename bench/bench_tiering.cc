@@ -98,7 +98,7 @@ int Run(bool small, const std::string& json_path) {
       Cell cell;
       cell.host_gb = host_gb;
       cell.nvme_gbps = gbps;
-      cell.result = RunOffline("fMoE", BaseOptions(host_gb, gbps));
+      cell.result = RunExperiment({.system = "fMoE", .options = BaseOptions(host_gb, gbps)});
       cells.push_back(std::move(cell));
     }
   }

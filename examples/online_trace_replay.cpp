@@ -31,7 +31,11 @@ int main(int argc, char** argv) {
   for (const std::string& system :
        {std::string("DeepSpeed-Inference"), std::string("MoE-Infinity"), std::string("fMoE")}) {
     const fmoe::ExperimentResult result =
-        fmoe::RunOnline(system, options, trace, num_requests);
+        fmoe::RunExperiment({.system = system,
+                             .options = options,
+                             .source = fmoe::RequestSource::kTrace,
+                             .trace = trace,
+                             .request_count = num_requests});
     const fmoe::EmpiricalCdf cdf(result.request_latencies);
     table.AddRow({result.system, fmoe::AsciiTable::Num(result.mean_e2e, 2),
                   fmoe::AsciiTable::Num(cdf.Quantile(0.5), 2),

@@ -26,7 +26,8 @@ int main() {
 
   fmoe::AsciiTable table({"system", "TTFT (s)", "TPOT (s)", "hit rate", "iterations"});
   for (const std::string& system : fmoe::PaperSystemNames()) {
-    const fmoe::ExperimentResult result = fmoe::RunOffline(system, options);
+    const fmoe::ExperimentResult result =
+        fmoe::RunExperiment({.system = system, .options = options});
     table.AddRow({result.system, fmoe::AsciiTable::Num(result.mean_ttft, 3),
                   fmoe::AsciiTable::Num(result.mean_tpot, 4),
                   fmoe::AsciiTable::Num(result.hit_rate, 3),

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   options.trace = &recorder;
 
   fmoe::PrintBanner(std::cout, "trace explorer: fMoE on " + options.model.name);
-  const fmoe::ExperimentResult result = fmoe::RunOffline("fMoE", options);
+  const fmoe::ExperimentResult result = fmoe::RunExperiment({.system = "fMoE", .options = options});
   std::cout << "TTFT " << fmoe::AsciiTable::Num(result.mean_ttft * 1e3, 2) << " ms | TPOT "
             << fmoe::AsciiTable::Num(result.mean_tpot * 1e3, 3) << " ms | hit rate "
             << fmoe::AsciiTable::Num(result.hit_rate, 3) << "\n\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -38,13 +39,6 @@ EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec
   config.tier = options.tier;
   config.trace = options.trace;
   return config;
-}
-
-SystemSpec MakeSystemFor(const std::string& system_name, const ExperimentOptions& options) {
-  return MakeSystem(system_name, options.model, options.prefetch_distance,
-                    options.store_capacity, options.low_precision_threshold,
-                    options.map_precision, options.host_stage_candidates,
-                    options.map_shards);
 }
 
 // `oracle_recorder` is the engine's gate-decision tape when options.oracle is on (null
@@ -92,29 +86,36 @@ void FillResult(const std::string& system_name, const ExperimentOptions& options
   }
 }
 
-// Serves `request` on `engine`, first offering it to `controller` (may be null) for SLO
-// shedding against the wait it has already accrued. Returns true when it was served. This is
-// the cluster-side admission point: RunCluster serves routed arrivals back to back, so the
-// only admission decision is shed-or-serve (batch limits belong to the scheduler protocol).
-bool ServeWithAdmission(ServingEngine* engine, AdmissionController* controller,
-                        const Request& request) {
+// Offers `request` to `controller` (null: open loop, admit everything) for SLO shedding
+// against the wait it has already accrued on `engine`. Returns whether to serve it. Lockstep
+// runs serve admitted requests back to back, so the only decision is shed-or-serve (batch
+// limits belong to the scheduler).
+bool Admit(AdmissionController* controller, const ServingEngine& engine,
+           const Request& request) {
   if (controller == nullptr) {
-    engine->ServeRequest(request);
     return true;
   }
   controller->OnArrived();
-  const double now = std::max(engine->now(), request.arrival_time);
+  const double now = std::max(engine.now(), request.arrival_time);
   controller->BeginAdmission(now);
   if (controller->ShouldReject(request, now)) {
     controller->OnRejected();
     return false;
   }
-  engine->ServeRequest(request);
   controller->OnAdmitted();
   return true;
 }
 
+void CheckBooks(const AdmissionCounters& counters) {
+  FMOE_CHECK_MSG(counters.arrived == counters.admitted + counters.rejected,
+                 "admission ledger out of balance: arrived != admitted + rejected");
+}
+
 }  // namespace
+
+bool ExperimentTask::HasTag(const std::string& tag) const {
+  return std::find(tags.begin(), tags.end(), tag) != tags.end();
+}
 
 uint64_t ResolveCacheBytes(const ExperimentOptions& options) {
   if (options.cache_bytes != 0) {
@@ -124,164 +125,130 @@ uint64_t ResolveCacheBytes(const ExperimentOptions& options) {
   return static_cast<uint64_t>(total * options.cache_fraction);
 }
 
-ExperimentResult RunOffline(const std::string& system_name, const ExperimentOptions& options) {
-  WorkloadGenerator generator(ApplyCaps(options.dataset, options), options.seed);
-  std::vector<Request> requests =
-      generator.Generate(options.history_requests + options.test_requests);
-  WorkloadSplit split = SplitWorkload(
-      std::move(requests),
-      static_cast<double>(options.history_requests) /
-          static_cast<double>(options.history_requests + options.test_requests));
-
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  auto* fmoe_policy = dynamic_cast<FmoePolicy*>(spec.policy.get());
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    // Attached before warmup: the post-warmup metrics reset clears the tape, so it covers
-    // exactly the measured requests (same window as the trace recorder).
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
-  engine.WarmupWithHistory(split.history);
-  if (fmoe_policy != nullptr && options.enable_score_log) {
-    fmoe_policy->EnableScoreLog();
-  }
-
-  const int batch = std::max(options.batch_size, 1);
-  for (size_t i = 0; i < split.test.size(); i += static_cast<size_t>(batch)) {
-    const size_t count = std::min(static_cast<size_t>(batch), split.test.size() - i);
-    engine.ServeBatch(std::span<const Request>(split.test.data() + i, count));
-  }
-
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
-  return result;
-}
-
-ExperimentResult RunOnline(const std::string& system_name, const ExperimentOptions& options,
-                           const TraceProfile& trace, size_t request_count) {
-  // Online protocol: empty history (§6.3) — serve straight off the trace, FIFO.
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  return RunReplay(system_name, options, generator.Generate(request_count));
-}
-
-ExperimentResult RunScheduledReplay(const std::string& system_name,
-                                    const ExperimentOptions& options,
-                                    const std::vector<Request>& requests,
-                                    const SchedulerOptions& sched) {
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
-  ContinuousBatchScheduler scheduler(&engine, sched);
-  const std::vector<RequestMetrics> completed = scheduler.Run(requests);
-
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
-  result.scheduler_stats = scheduler.stats();
-  if (sched.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    result.admission_enabled = true;
-    result.admission_policy = sched.admission.policy;
-    result.admission = scheduler.controller().counters();
-  }
-  // The scheduler owns request completion: its drained metrics (completion order) replace the
-  // engine-side per-request view, and end-to-end latencies include queueing.
-  result.request_latencies.clear();
-  result.scheduled_tokens = 0;
-  double e2e_sum = 0.0;
-  for (const RequestMetrics& metrics : completed) {
-    result.request_latencies.push_back(metrics.EndToEnd());
-    e2e_sum += metrics.EndToEnd();
-    result.scheduled_tokens += static_cast<uint64_t>(metrics.decode_iterations) + 1;
-  }
-  result.mean_e2e =
-      completed.empty() ? 0.0 : e2e_sum / static_cast<double>(completed.size());
-  return result;
-}
-
-ExperimentResult RunScheduled(const std::string& system_name, const ExperimentOptions& options,
-                              const TraceProfile& trace, size_t request_count,
-                              const SchedulerOptions& sched) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  return RunScheduledReplay(system_name, options, generator.Generate(request_count), sched);
-}
-
-ExperimentResult RunCluster(const std::string& system_name, const ExperimentOptions& options,
-                            const TraceProfile& trace, size_t request_count) {
-  TraceGenerator generator(trace, ApplyCaps(options.dataset, options), options.seed);
-  const std::vector<Request> requests = generator.Generate(request_count);
-
-  const int replicas = std::max(options.replicas, 1);
-  const auto replica_count = static_cast<size_t>(replicas);
-  ClusterOptions cluster_options;
-  cluster_options.replicas = replicas;
-  cluster_options.router = options.router_policy;
-  cluster_options.memory = options.cluster_memory;
-
-  std::vector<SystemSpec> specs;
-  std::vector<std::unique_ptr<ServingEngine>> engines;
-  // One tape per replica (each engine is its own cache + links); the per-replica gap
-  // reports are summed into one merged block below.
-  std::vector<GateDecisionRecorder> oracle_recorders(options.oracle ? replica_count : 0);
-  specs.reserve(replica_count);
-  engines.reserve(replica_count);
-  for (int r = 0; r < replicas; ++r) {
-    specs.push_back(MakeSystemFor(system_name, options));
-    EngineConfig config = MakeEngineConfig(options, specs.back());
-    if (replicas > 1) {
-      // Traces attach to replica 0 only (one timeline per recorder); its tracks carry the
-      // replica prefix so cluster traces are distinguishable from single-engine ones.
-      config.trace_track_prefix = "replica" + std::to_string(r) + "/";
-      if (r > 0) {
-        config.trace = nullptr;
-      }
-      if (options.cluster_memory == ClusterMemoryMode::kPartition &&
-          !specs.back().preload_all) {
-        config.expert_cache_bytes =
-            std::max<uint64_t>(config.expert_cache_bytes / replica_count, 1);
-      }
+Replica MakeReplica(const std::string& system, const ExperimentOptions& options, int index) {
+  Replica replica;
+  replica.spec = MakeSystem(system, options.model, options.prefetch_distance,
+                            options.store_capacity, options.low_precision_threshold,
+                            options.map_precision, options.host_stage_candidates,
+                            options.map_shards);
+  EngineConfig config = MakeEngineConfig(options, replica.spec);
+  if (options.replicas > 1) {
+    // Traces attach to replica 0 only (one timeline per recorder); its tracks carry the
+    // replica prefix so cluster traces are distinguishable from single-engine ones.
+    config.trace_track_prefix = "replica" + std::to_string(index) + "/";
+    if (index > 0) {
+      config.trace = nullptr;
     }
-    engines.push_back(std::make_unique<ServingEngine>(options.model, config,
-                                                      specs.back().policy.get()));
+    if (options.cluster_memory == ClusterMemoryMode::kPartition && !replica.spec.preload_all) {
+      config.expert_cache_bytes = std::max<uint64_t>(
+          config.expert_cache_bytes / static_cast<uint64_t>(options.replicas), 1);
+    }
+  }
+  replica.engine =
+      std::make_unique<ServingEngine>(options.model, config, replica.spec.policy.get());
+  return replica;
+}
+
+ExperimentResult RunExperiment(const ExperimentTask& task) {
+  const ExperimentOptions& options = task.options;
+  const bool split = task.source == RequestSource::kSplit;
+  const bool lockstep = task.serving == Serving::kLockstep;
+  const bool closed_loop = options.admission.policy != AdmissionPolicyKind::kOpenLoop;
+  const int replica_count = std::max(options.replicas, 1);
+  const auto replicas = static_cast<size_t>(replica_count);
+  FMOE_CHECK_MSG(!split || (lockstep && replicas == 1 && !closed_loop),
+                 "the 7:3 split is served lockstep on one replica with open-loop admission");
+  FMOE_CHECK_MSG(lockstep || replicas == 1, "continuous batching runs on one replica");
+  FMOE_CHECK_MSG(!lockstep || options.batch_size <= 1 || (replicas == 1 && !closed_loop),
+                 "routing and closed-loop admission decide per request: batch size must be 1");
+
+  // The requests, plus the split's history.
+  const DatasetProfile dataset = ApplyCaps(options.dataset, options);
+  std::vector<Request> history;
+  std::vector<Request> generated;
+  if (split) {
+    WorkloadGenerator generator(dataset, options.seed);
+    WorkloadSplit workload = SplitWorkload(
+        generator.Generate(options.history_requests + options.test_requests),
+        static_cast<double>(options.history_requests) /
+            static_cast<double>(options.history_requests + options.test_requests));
+    history = std::move(workload.history);
+    generated = std::move(workload.test);
+  } else if (task.source == RequestSource::kTrace) {
+    generated = TraceGenerator(task.trace, dataset, options.seed).Generate(task.request_count);
+  }
+  const std::vector<Request>& requests =
+      task.source == RequestSource::kRequests ? task.requests : generated;
+
+  // The engines. Each keeps its own gate-decision tape (its own cache and links); the oracle
+  // attaches before warmup, whose metrics reset clears the tape, so it covers exactly the
+  // measured requests (the trace recorder's window). Lockstep closed-loop runs give each
+  // replica a controller that sees only its routed arrivals and drives only its engine.
+  // Tapes and controllers are declared first so they outlive the engines that point at them.
+  std::vector<GateDecisionRecorder> tapes(options.oracle ? replicas : 0);
+  std::vector<std::unique_ptr<AdmissionController>> controllers(replicas);
+  std::vector<Replica> engines;
+  engines.reserve(replicas);
+  for (size_t r = 0; r < replicas; ++r) {
+    engines.push_back(MakeReplica(task.system, options, static_cast<int>(r)));
+    ServingEngine& engine = *engines[r].engine;
     if (options.oracle) {
-      engines.back()->SetOracleRecorder(&oracle_recorders[static_cast<size_t>(r)]);
+      engine.SetOracleRecorder(&tapes[r]);
     }
-  }
-
-  // Per-replica controllers (closed-loop policies only): each replica's controller sees only
-  // its routed arrivals and drives only that engine's knobs, composing with the router.
-  std::vector<std::unique_ptr<AdmissionController>> controllers(replica_count);
-  if (options.admission.policy != AdmissionPolicyKind::kOpenLoop) {
-    for (size_t r = 0; r < replica_count; ++r) {
+    if (lockstep && closed_loop) {
       controllers[r] = MakeAdmissionController(options.admission);
-      engines[r]->SetAdmissionController(controllers[r].get());
+      engine.SetAdmissionController(controllers[r].get());
+    }
+  }
+  if (split) {
+    engines[0].engine->WarmupWithHistory(history);
+  }
+  if (options.enable_score_log) {
+    for (Replica& replica : engines) {
+      if (auto* fmoe_policy = dynamic_cast<FmoePolicy*>(replica.spec.policy.get())) {
+        fmoe_policy->EnableScoreLog();
+      }
     }
   }
 
-  RequestRouter router(cluster_options, options.seed ^ kSemanticRouterSeed);
-  std::vector<ReplicaLoad> loads(replica_count);
+  // Serve. Lockstep: each batch goes to the replica the router picks (always 0 at R == 1),
+  // unless that replica's controller sheds it; `assignment` records where each request went
+  // (-1: shed). Continuous: the scheduler admits, batches and completes everything.
   std::vector<int> assignment(requests.size(), 0);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    std::vector<double> prompt_embedding;
-    if (replicas > 1 && options.router_policy == RouterPolicy::kSemanticAffinity) {
-      prompt_embedding = engines[0]->embedder().PromptEmbedding(requests[i].routing);
+  std::optional<ContinuousBatchScheduler> scheduler;
+  std::vector<RequestMetrics> completed;
+  if (lockstep) {
+    ClusterOptions cluster_options;
+    cluster_options.replicas = replica_count;
+    cluster_options.router = options.router_policy;
+    cluster_options.memory = options.cluster_memory;
+    RequestRouter router(cluster_options, options.seed ^ kSemanticRouterSeed);
+    std::vector<ReplicaLoad> loads(replicas);
+    const auto batch = static_cast<size_t>(std::max(options.batch_size, 1));
+    for (size_t i = 0; i < requests.size(); i += batch) {
+      const std::span<const Request> chunk(requests.data() + i,
+                                           std::min(batch, requests.size() - i));
+      std::vector<double> prompt_embedding;
+      if (replicas > 1 && options.router_policy == RouterPolicy::kSemanticAffinity) {
+        prompt_embedding = engines[0].engine->embedder().PromptEmbedding(chunk[0].routing);
+      }
+      const auto r = static_cast<size_t>(router.Route(chunk[0], prompt_embedding, loads));
+      ServingEngine& engine = *engines[r].engine;
+      if (!Admit(controllers[r].get(), engine, chunk[0])) {
+        assignment[i] = -1;  // Shed at the replica door: no latency to merge, no load charged.
+        continue;
+      }
+      engine.ServeBatch(chunk);
+      std::fill_n(assignment.begin() + static_cast<std::ptrdiff_t>(i), chunk.size(),
+                  static_cast<int>(r));
+      loads[r].busy_until = engine.now();
+      ++loads[r].assigned;
     }
-    const int r = router.Route(requests[i], prompt_embedding, loads);
-    assignment[i] = r;
-    if (!ServeWithAdmission(engines[static_cast<size_t>(r)].get(),
-                            controllers[static_cast<size_t>(r)].get(), requests[i])) {
-      assignment[i] = -1;  // Shed at the replica door: no latency to merge, no load charged.
-      continue;
-    }
-    loads[static_cast<size_t>(r)].busy_until = engines[static_cast<size_t>(r)]->now();
-    ++loads[static_cast<size_t>(r)].assigned;
-  }
-  for (const auto& engine : engines) {
-    engine->SetAdmissionController(nullptr);
+  } else {
+    SchedulerOptions sched = task.scheduler;
+    sched.admission = options.admission;
+    scheduler.emplace(engines[0].engine.get(), sched);
+    completed = scheduler->Run(requests);
   }
 
   // Merge: each replica's result is built as a single engine's would be, then pooled.
@@ -289,10 +256,13 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
   // population (requests for TTFT and end-to-end, decoding requests for TPOT, expert
   // servings for the hit rate and precision share, score samples for the similarity
   // scores), so a single replica pools to exactly its own result.
-  std::vector<ExperimentResult> parts(replica_count);
-  for (size_t r = 0; r < replica_count; ++r) {
-    FillResult(system_name, options, *engines[r], specs[r],
-               options.oracle ? &oracle_recorders[r] : nullptr, &parts[r]);
+  std::vector<ExperimentResult> parts(replicas);
+  for (size_t r = 0; r < replicas; ++r) {
+    const ServingEngine& engine = *engines[r].engine;
+    FMOE_CHECK_MSG(engine.TransferTagsConsistent(), "engine transfer tags inconsistent");
+    FMOE_CHECK_MSG(engine.TierBookkeepingConsistent(), "engine tier bookkeeping inconsistent");
+    FillResult(task.system, options, engine, engines[r].spec,
+               options.oracle ? &tapes[r] : nullptr, &parts[r]);
   }
   ExperimentResult result = parts[0];
   std::vector<double> ttfts;
@@ -306,8 +276,8 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
   double trajectory_sum = 0.0;
   uint64_t trajectory_count = 0;
   bool fmoe_family = false;
-  for (size_t r = 0; r < replica_count; ++r) {
-    const ServingEngine& engine = *engines[r];
+  for (size_t r = 0; r < replicas; ++r) {
+    const ServingEngine& engine = *engines[r].engine;
     const RunMetrics& metrics = engine.metrics();
     const ExperimentResult& part = parts[r];
     for (const RequestMetrics& request : metrics.requests()) {
@@ -320,7 +290,7 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
     hits += metrics.expert_hits();
     misses += metrics.expert_misses();
     low_precision_hits += metrics.low_precision_hits();
-    if (const auto* fmoe_policy = dynamic_cast<const FmoePolicy*>(specs[r].policy.get())) {
+    if (const auto* fmoe_policy = dynamic_cast<const FmoePolicy*>(engines[r].spec.policy.get())) {
       fmoe_family = true;
       semantic_sum += fmoe_policy->semantic_score_sum();
       semantic_count += fmoe_policy->semantic_score_count();
@@ -346,11 +316,11 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
       }
     }
     if (controllers[r] != nullptr) {
-      result.admission_enabled = true;
-      result.admission_policy = options.admission.policy;
-      result.admission.arrived += controllers[r]->counters().arrived;
-      result.admission.admitted += controllers[r]->counters().admitted;
-      result.admission.rejected += controllers[r]->counters().rejected;
+      const AdmissionCounters& counters = controllers[r]->counters();
+      CheckBooks(counters);
+      result.admission.arrived += counters.arrived;
+      result.admission.admitted += counters.admitted;
+      result.admission.rejected += counters.rejected;
     }
 
     ClusterReplicaStats stats;
@@ -379,47 +349,54 @@ ExperimentResult RunCluster(const std::string& system_name, const ExperimentOpti
         trajectory_count == 0 ? 0.0 : trajectory_sum / static_cast<double>(trajectory_count);
   }
 
-  // Arrival-order latencies: walk the assignment with per-replica cursors (each replica
-  // served its subset in arrival order).
-  result.request_latencies.clear();
-  result.request_latencies.reserve(requests.size());
-  std::vector<size_t> cursor(replica_count, 0);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (assignment[i] < 0) {
-      continue;  // Shed before service: contributes a rejection, not a latency.
-    }
-    const auto r = static_cast<size_t>(assignment[i]);
-    FMOE_CHECK(cursor[r] < parts[r].request_latencies.size());
-    result.request_latencies.push_back(parts[r].request_latencies[cursor[r]++]);
-  }
-
   // The summary is filled at every replica count; the report prints it only for R > 1.
   result.cluster_enabled = replicas > 1;
-  result.cluster.replicas = replicas;
+  result.cluster.replicas = replica_count;
   result.cluster.router = options.router_policy;
   result.cluster.memory = options.cluster_memory;
   result.cluster.aggregate_throughput_rps =
       result.cluster.makespan > 0.0
           ? static_cast<double>(ttfts.size()) / result.cluster.makespan
           : 0.0;
-  return result;
-}
-
-ExperimentResult RunReplay(const std::string& system_name, const ExperimentOptions& options,
-                           const std::vector<Request>& requests) {
-  SystemSpec spec = MakeSystemFor(system_name, options);
-  ServingEngine engine(options.model, MakeEngineConfig(options, spec), spec.policy.get());
-  GateDecisionRecorder oracle_recorder;
-  if (options.oracle) {
-    engine.SetOracleRecorder(&oracle_recorder);
-  }
-  for (const Request& request : requests) {
-    engine.ServeRequest(request);
+  if (closed_loop) {
+    result.admission_enabled = true;
+    result.admission_policy = options.admission.policy;
   }
 
-  ExperimentResult result;
-  FillResult(system_name, options, engine, spec,
-             options.oracle ? &oracle_recorder : nullptr, &result);
+  if (lockstep) {
+    // Arrival-order latencies: walk the assignment with per-replica cursors (each replica
+    // served its subset in arrival order).
+    result.request_latencies.clear();
+    result.request_latencies.reserve(requests.size());
+    std::vector<size_t> cursor(replicas, 0);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (assignment[i] < 0) {
+        continue;  // Shed before service: contributes a rejection, not a latency.
+      }
+      const auto r = static_cast<size_t>(assignment[i]);
+      FMOE_CHECK(cursor[r] < parts[r].request_latencies.size());
+      result.request_latencies.push_back(parts[r].request_latencies[cursor[r]++]);
+    }
+    return result;
+  }
+
+  // The scheduler owns request completion: its drained metrics (completion order) replace the
+  // engine-side per-request view, and end-to-end latencies include queueing.
+  result.scheduler_stats = scheduler->stats();
+  CheckBooks(scheduler->controller().counters());
+  if (closed_loop) {
+    result.admission = scheduler->controller().counters();
+  }
+  result.request_latencies.clear();
+  result.scheduled_tokens = 0;
+  double e2e_sum = 0.0;
+  for (const RequestMetrics& metrics : completed) {
+    result.request_latencies.push_back(metrics.EndToEnd());
+    e2e_sum += metrics.EndToEnd();
+    result.scheduled_tokens += static_cast<uint64_t>(metrics.decode_iterations) + 1;
+  }
+  result.mean_e2e =
+      completed.empty() ? 0.0 : e2e_sum / static_cast<double>(completed.size());
   return result;
 }
 

@@ -1,17 +1,20 @@
-// Experiment runners reproducing the paper's evaluation methodology (§6.1):
-//   * RunOffline — standard 7:3 protocol: history requests warm the policy (expert-map store /
-//     EAM) and the cache, then the test requests are served and measured.
-//   * RunReplay  — cold start (empty history): a given request sequence is served in order on
-//     one engine; end-to-end latencies include queueing. RunOnline is RunReplay over an
-//     Azure-like arrival trace (§6.3).
-//   * RunScheduledReplay — the same cold start through a continuous-batching scheduler with
-//     an admission policy; RunScheduled wraps it over a generated trace.
-//   * RunCluster — a generated trace routed across several replica engines.
-// Every figure bench, fmoe_sim and the integration tests are thin loops over these calls.
+// The experiment runner: RunExperiment serves every protocol the figure benches, fmoe_sim and
+// the tests use, from one ExperimentTask that says
+//   * where the requests come from (RequestSource): the paper's offline 7:3 split (§6.1),
+//     whose history warms the policy (expert-map store / EAM) and the cache before the test
+//     requests are measured; a generated Azure-like arrival trace (§6.3); or a given request
+//     list (a loaded CSV, a burst trace). Trace and list runs start cold;
+//   * how they are served (Serving): lockstep batches of options.batch_size, each to
+//     completion in arrival order (batch 1 is FIFO replay), or the continuous-batching
+//     scheduler;
+//   * on how many replicas (options.replicas, routed by options.router_policy) and under which
+//     admission policy (options.admission).
+// Plans of tasks (plan.h) run on the deterministic parallel runner (runner.h).
 #ifndef FMOE_SRC_HARNESS_EXPERIMENT_H_
 #define FMOE_SRC_HARNESS_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "src/moe/gate_simulator.h"
 #include "src/oracle/oracle.h"
 #include "src/serving/cluster.h"
+#include "src/serving/engine.h"
 #include "src/serving/metrics.h"
 #include "src/serving/scheduler.h"
 #include "src/serving/trace.h"
@@ -69,21 +73,20 @@ struct ExperimentOptions {
   // Semantic-cluster shard count for the fMoE Expert Map Store (DESIGN.md §5i). 1 replays
   // the unsharded store byte-identically.
   int map_shards = 1;
-  // Admission policy + controller knobs (DESIGN.md §5j) for the runners that queue requests:
-  // RunCluster reads this directly (one controller per replica); RunScheduled takes its
-  // SchedulerOptions parameter as the authority (set sched.admission — fmoe_sim wires both
-  // from the same flags). The default open-loop policy replays every legacy path
-  // byte-identically.
+  // Admission policy + controller knobs (DESIGN.md §5j), the one place a run reads them:
+  // lockstep runs give each replica its own controller, scheduled runs hand them to the
+  // scheduler. Closed-loop policies need arrivals (a trace or given-request source). The
+  // default open-loop policy replays every legacy path byte-identically.
   AdmissionOptions admission;
-  // Cluster knobs (RunCluster only; ignored by the single-engine runners). replicas = 1
-  // replays RunOnline byte-identically regardless of router/memory settings.
+  // Cluster knobs: replicas > 1 routes a trace or given-request source across independent
+  // engines, one request at a time. At replicas = 1 the router and memory mode are inert.
   int replicas = 1;
   RouterPolicy router_policy = RouterPolicy::kRoundRobin;
   ClusterMemoryMode cluster_memory = ClusterMemoryMode::kReplicate;
   GateProfile gate;
   HardwareProfile hardware;
   // Optional virtual-time trace recorder (not owned; must outlive the run). Pure observer:
-  // attaching one changes nothing about the run. For RunOffline the warmup phase resets it,
+  // attaching one changes nothing about the run. On the 7:3 split the warmup phase resets it,
   // so the recorded trace covers exactly the measured requests.
   TraceRecorder* trace = nullptr;
   // Clairvoyant oracle (DESIGN.md §5k): record the gate-decision tape and compute the
@@ -110,8 +113,8 @@ struct ExperimentResult {
   double mean_semantic_score = 0.0;    // fMoE-family systems only.
   double mean_trajectory_score = 0.0;  // fMoE-family systems only.
   double low_precision_share = 0.0;    // Share of expert servings at reduced precision.
-  // Scheduled runs only (RunScheduled): continuous-batching counters and the total output
-  // tokens of the completed requests (for SchedulerStats::Throughput).
+  // Scheduled runs only: continuous-batching counters and the total output tokens of the
+  // completed requests (for SchedulerStats::Throughput).
   SchedulerStats scheduler_stats;
   uint64_t scheduled_tokens = 0;
   // Multi-tier runs only (options.tier.nvme_backing): tier movement counters plus host-pool
@@ -120,13 +123,12 @@ struct ExperimentResult {
   TierStats tier;
   double host_capacity_gb = 0.0;
   double host_used_gb = 0.0;
-  // Cluster runs only (RunCluster with replicas > 1): per-replica stats and the aggregate
-  // makespan/throughput summary. cluster_enabled is false on single-replica runs (the
-  // report omits the block and the result is byte-identical to RunOnline).
+  // Per-replica stats and the aggregate makespan/throughput summary, filled on every run.
+  // cluster_enabled is true only at replicas > 1, so single-engine reports omit the block.
   bool cluster_enabled = false;
   ClusterSummary cluster;
-  // Closed-loop runs only (a non-open-loop admission policy on the scheduled or cluster
-  // runners): the active policy and the conservation counters, merged across replicas.
+  // Closed-loop runs only (a non-open-loop options.admission policy): the active policy and
+  // the conservation counters, merged across replicas.
   // admission_enabled is false on open-loop runs, so legacy reports stay byte-identical.
   bool admission_enabled = false;
   AdmissionPolicyKind admission_policy = AdmissionPolicyKind::kOpenLoop;
@@ -138,42 +140,64 @@ struct ExperimentResult {
   OracleReport oracle;
 };
 
-ExperimentResult RunOffline(const std::string& system_name, const ExperimentOptions& options);
+// Where a task's requests come from.
+enum class RequestSource {
+  kSplit,     // options.history_requests + options.test_requests generated and split 7:3-style;
+              // the history warms the engine, the test requests are measured.
+  kTrace,     // `request_count` requests of the generated arrival trace `trace`.
+  kRequests,  // The given `requests`, sorted by arrival time.
+};
 
-ExperimentResult RunOnline(const std::string& system_name, const ExperimentOptions& options,
-                           const TraceProfile& trace, size_t request_count);
+// How a task's requests are served.
+enum class Serving {
+  // Batches of options.batch_size consecutive requests, each served to completion. Routing
+  // (replicas > 1) and closed-loop admission decide per request, so they need batch size 1.
+  kLockstep,
+  // The continuous-batching scheduler: `scheduler` sets its batch limit and queue discipline.
+  // End-to-end latencies are reported in completion order.
+  kContinuous,
+};
 
-// Continuous-batching protocol: requests from the trace are admitted by a
-// ContinuousBatchScheduler (batch limit + queue discipline + admission policy from `sched`)
-// instead of the online protocol's FIFO one-at-a-time loop. request_latencies holds
-// end-to-end latencies in completion order (what the scheduler drains), not arrival order;
-// with a shedding admission policy it covers served requests only.
-ExperimentResult RunScheduled(const std::string& system_name, const ExperimentOptions& options,
-                              const TraceProfile& trace, size_t request_count,
-                              const SchedulerOptions& sched);
+// One experiment. The split serves only lockstep on one replica, and continuous batching
+// only one replica; RunExperiment checks both. Every member has a default initializer, so a
+// designated initializer may omit any of them.
+struct ExperimentTask {
+  std::string system{};
+  ExperimentOptions options{};
+  RequestSource source = RequestSource::kSplit;
+  TraceProfile trace = TraceProfile();  // kTrace only.
+  size_t request_count = 0;             // kTrace only.
+  std::vector<Request> requests{};      // kRequests only.
+  Serving serving = Serving::kLockstep;
+  // kContinuous only. Its admission field is not read: admission comes from
+  // options.admission.
+  SchedulerOptions scheduler{};
+  // Free-form "key=value" labels benches use to locate results in a plan's ordered output
+  // (e.g. "model=Mixtral-8x7B", "system=fMoE", "d=3").
+  std::vector<std::string> tags{};
 
-// RunScheduled over a caller-supplied request sequence (must be sorted by arrival time) —
-// e.g. a burst/overload trace from src/workload/burst.h or a loaded CSV.
-ExperimentResult RunScheduledReplay(const std::string& system_name,
-                                    const ExperimentOptions& options,
-                                    const std::vector<Request>& requests,
-                                    const SchedulerOptions& sched);
+  bool HasTag(const std::string& tag) const;
+};
 
-// Multi-replica cluster protocol (DESIGN.md §5i): the trace's requests are routed across
-// `options.replicas` independent engines by `options.router_policy` and served in arrival
-// order. Per-request latencies are reported in arrival order (merged across replicas); the
-// merged means pool every replica's per-request values, and counters (tier block included)
-// add. With replicas == 1 this is RunOnline, bit for bit. A non-open-loop options.admission
-// policy runs one controller per replica (composing with the router): each replica's
-// controller sees only its routed arrivals, may shed them against the SLO, and drives that
-// engine's prefetch distance; latencies then cover admitted requests only.
-ExperimentResult RunCluster(const std::string& system_name, const ExperimentOptions& options,
-                            const TraceProfile& trace, size_t request_count);
+// Runs one task on freshly built engines and returns its metrics. With several replicas the
+// per-replica results are pooled: counters add and every mean is recomputed over the pooled
+// population, so one replica pools to exactly its own result. Lockstep latencies are in
+// arrival order; requests shed by admission contribute a rejection, not a latency. Aborts
+// with an FMOE_CHECK on a combination no protocol defines, or when an engine's transfer/tier
+// bookkeeping or an admission ledger (arrived == admitted + rejected) is inconsistent at the
+// end of the run.
+ExperimentResult RunExperiment(const ExperimentTask& task);
 
-// Replay protocol: serves a caller-supplied request sequence (e.g. loaded from a trace CSV)
-// in order on one engine, cold-started like RunOnline.
-ExperimentResult RunReplay(const std::string& system_name, const ExperimentOptions& options,
-                           const std::vector<Request>& requests);
+// One serving engine as RunExperiment builds it, with the system (policy) it serves.
+// `index` is the replica number among options.replicas: with several replicas each engine
+// gets a "replica<i>/" trace-track prefix, only replica 0 keeps options.trace, and
+// ClusterMemoryMode::kPartition splits the cache budget. Exposed for tools that need the
+// engine itself, such as fmoe_sim --save-store exporting a warmed map store.
+struct Replica {
+  SystemSpec spec;
+  std::unique_ptr<ServingEngine> engine;
+};
+Replica MakeReplica(const std::string& system, const ExperimentOptions& options, int index);
 
 // Resolves the cache budget an options struct implies, in bytes.
 uint64_t ResolveCacheBytes(const ExperimentOptions& options);

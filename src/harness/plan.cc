@@ -1,14 +1,8 @@
 #include "src/harness/plan.h"
 
-#include <algorithm>
-
 #include "src/util/rng.h"
 
 namespace fmoe {
-
-bool ExperimentTask::HasTag(const std::string& tag) const {
-  return std::find(tags.begin(), tags.end(), tag) != tags.end();
-}
 
 size_t ExperimentPlan::Add(ExperimentTask task) {
   const size_t index = tasks_.size();
@@ -21,52 +15,7 @@ size_t ExperimentPlan::Add(ExperimentTask task) {
 
 size_t ExperimentPlan::AddOffline(std::string system, ExperimentOptions options,
                                   std::vector<std::string> tags) {
-  ExperimentTask task;
-  task.system = std::move(system);
-  task.options = std::move(options);
-  task.mode = ExperimentMode::kOffline;
-  task.tags = std::move(tags);
-  return Add(std::move(task));
-}
-
-size_t ExperimentPlan::AddOnline(std::string system, ExperimentOptions options,
-                                 TraceProfile trace, size_t request_count,
-                                 std::vector<std::string> tags) {
-  ExperimentTask task;
-  task.system = std::move(system);
-  task.options = std::move(options);
-  task.mode = ExperimentMode::kOnline;
-  task.trace = trace;
-  task.request_count = request_count;
-  task.tags = std::move(tags);
-  return Add(std::move(task));
-}
-
-size_t ExperimentPlan::AddScheduled(std::string system, ExperimentOptions options,
-                                    TraceProfile trace, size_t request_count,
-                                    SchedulerOptions scheduler, std::vector<std::string> tags) {
-  ExperimentTask task;
-  task.system = std::move(system);
-  task.options = std::move(options);
-  task.mode = ExperimentMode::kScheduled;
-  task.trace = trace;
-  task.request_count = request_count;
-  task.scheduler = scheduler;
-  task.tags = std::move(tags);
-  return Add(std::move(task));
-}
-
-size_t ExperimentPlan::AddCluster(std::string system, ExperimentOptions options,
-                                  TraceProfile trace, size_t request_count,
-                                  std::vector<std::string> tags) {
-  ExperimentTask task;
-  task.system = std::move(system);
-  task.options = std::move(options);
-  task.mode = ExperimentMode::kCluster;
-  task.trace = trace;
-  task.request_count = request_count;
-  task.tags = std::move(tags);
-  return Add(std::move(task));
+  return Add({.system = std::move(system), .options = std::move(options), .tags = std::move(tags)});
 }
 
 std::vector<size_t> ExperimentPlan::IndicesWithTag(const std::string& tag) const {

@@ -204,10 +204,10 @@ void WritePlanReportJson(const ExperimentPlan& plan,
     const ExperimentTask& task = tasks[i];
     out << "{\"index\":" << i << ",";
     out << "\"system\":\"" << JsonEscape(task.system) << "\",";
-    const char* mode = task.mode == ExperimentMode::kOffline      ? "offline"
-                       : task.mode == ExperimentMode::kOnline     ? "online"
-                       : task.mode == ExperimentMode::kScheduled  ? "scheduled"
-                                                                  : "cluster";
+    const char* mode = task.source == RequestSource::kSplit      ? "offline"
+                       : task.serving == Serving::kContinuous     ? "scheduled"
+                       : task.options.replicas > 1                ? "cluster"
+                                                                  : "online";
     out << "\"mode\":\"" << mode << "\",";
     out << "\"seed\":" << task.options.seed << ",";
     out << "\"tags\":[";

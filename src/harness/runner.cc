@@ -5,25 +5,12 @@
 namespace fmoe {
 
 ExperimentResult RunTask(const ExperimentTask& task, TraceRecorder* trace) {
-  const ExperimentTask* run = &task;
-  ExperimentTask traced;
-  if (trace != nullptr) {
-    traced = task;
-    traced.options.trace = trace;
-    run = &traced;
+  if (trace == nullptr) {
+    return RunExperiment(task);
   }
-  switch (run->mode) {
-    case ExperimentMode::kOffline:
-      return RunOffline(run->system, run->options);
-    case ExperimentMode::kOnline:
-      return RunOnline(run->system, run->options, run->trace, run->request_count);
-    case ExperimentMode::kScheduled:
-      return RunScheduled(run->system, run->options, run->trace, run->request_count,
-                          run->scheduler);
-    case ExperimentMode::kCluster:
-      return RunCluster(run->system, run->options, run->trace, run->request_count);
-  }
-  return ExperimentResult{};  // Unreachable; all modes handled above.
+  ExperimentTask traced = task;
+  traced.options.trace = trace;
+  return RunExperiment(traced);
 }
 
 std::vector<ExperimentResult> RunPlan(const ExperimentPlan& plan, const RunnerOptions& options,

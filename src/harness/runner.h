@@ -3,10 +3,10 @@
 // RunPlan executes every task of an ExperimentPlan — serially at jobs=1 (byte-identical to
 // the historical one-call-at-a-time benches), or on a worker thread pool at jobs=N — and
 // returns the results in plan order. Determinism holds by construction: each task is a pure
-// function of its own (system, options, trace) with a seed fixed at plan-build time (see
-// plan.h), RunOffline/RunOnline construct every stateful component (engine, gate simulator,
-// caches, policy) per call with no shared mutable state, and workers write only their own
-// result slot. Thread count therefore changes wall-clock time and nothing else.
+// function of its own declaration with a seed fixed at plan-build time (see plan.h),
+// RunExperiment constructs every stateful component (engine, gate simulator, caches, policy)
+// per call with no shared mutable state, and workers write only their own result slot.
+// Thread count therefore changes wall-clock time and nothing else.
 #ifndef FMOE_SRC_HARNESS_RUNNER_H_
 #define FMOE_SRC_HARNESS_RUNNER_H_
 
@@ -29,8 +29,8 @@ struct RunnerOptions {
   size_t trace_task = 0;
 };
 
-// Executes one task (the dispatch RunPlan applies per entry; exposed for tests). A non-null
-// `trace` is attached to the task's engine for the duration of the run.
+// Executes one task (what RunPlan applies per entry): RunExperiment with a non-null `trace`
+// attached to the task's engine for the duration of the run.
 ExperimentResult RunTask(const ExperimentTask& task, TraceRecorder* trace = nullptr);
 
 // Executes the whole plan and returns results in plan order (results[i] belongs to

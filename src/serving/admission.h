@@ -21,10 +21,10 @@
 //         storm degrades into bounded-latency service + explicit rejections instead of an
 //         unbounded queue.
 //
-// The scheduler, the engine, and RunCluster all consume this one interface: the scheduler
-// asks BatchLimit/ShouldReject per admission pass, the engine pulls PrefetchDistance at
-// iteration boundaries and feeds the controller's signal tracker, and the cluster harness
-// runs one controller per replica (composing with the PR 8 router).
+// The scheduler, the engine, and the harness's lockstep runs all consume this one interface:
+// the scheduler asks BatchLimit/ShouldReject per admission pass, the engine pulls
+// PrefetchDistance at iteration boundaries and feeds the controller's signal tracker, and
+// RunExperiment runs one controller per replica (composing with the cluster router).
 //
 // All decisions run in virtual time off deterministic signals, so closed-loop runs are as
 // reproducible as open-loop ones.

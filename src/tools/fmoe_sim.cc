@@ -1,8 +1,9 @@
 // fmoe_sim — command-line driver for the fMoE serving simulator.
 //
-// Runs the paper's offline (7:3) or online (trace replay) protocol for any registered system
-// and prints a table, JSON, or CSV. The systems run as a declarative ExperimentPlan through
-// the deterministic parallel runner: --jobs only changes wall-clock time, never output.
+// Runs the paper's offline (7:3) or online (trace replay) protocol, or the continuous-batching
+// scheduler, for any registered system and prints a table, JSON, or CSV. The systems run as a
+// declarative ExperimentPlan through the deterministic parallel runner: --jobs only changes
+// wall-clock time, never output.
 // Examples:
 //
 //   fmoe_sim --model mixtral --system fMoE
@@ -24,9 +25,7 @@
 #include "src/obs/perfetto_export.h"
 #include "src/obs/stall_report.h"
 #include "src/obs/trace_recorder.h"
-#include "src/util/thread_pool.h"
 #include "src/workload/trace_io.h"
-#include "src/serving/engine.h"
 #include "src/util/flags.h"
 #include "src/util/table.h"
 
@@ -87,12 +86,14 @@ int main(int argc, char** argv) {
                   "(continuous batching through the admission-controlled scheduler)");
   flags.AddInt("history", 80, "history requests used to warm the policy (offline mode)");
   flags.AddInt("requests", 24, "measured requests (test split or trace length)");
-  flags.AddInt("batch", 1, "lockstep batch size (offline mode)");
+  flags.AddInt("batch", 1,
+               "lockstep batch size (offline and online modes; must be 1 with --replicas > 1 "
+               "or a closed-loop --admission-policy)");
   flags.AddInt("max-batch", 4, "scheduled mode: continuous-batching lockstep batch limit");
   flags.AddString("discipline", "fcfs",
                   "scheduled mode queue discipline: fcfs | sjf (shortest job first)");
   flags.AddString("admission-policy", "open-loop",
-                  "admission control for scheduled/cluster runs: open-loop (fixed knobs, "
+                  "admission control for online and scheduled runs: open-loop (fixed knobs, "
                   "never rejects; the byte-identical default) | gradient (closed-loop AIMD on "
                   "live stall-attribution signals; DESIGN.md 5j)");
   flags.AddDouble("slo-ms", 0.0,
@@ -106,7 +107,9 @@ int main(int argc, char** argv) {
   flags.AddDouble("admission-update-s", 0.05,
                   "gradient controller update cadence in virtual seconds");
   flags.AddInt("distance", 3, "prefetch distance d in layers");
-  flags.AddInt("max-decode", 32, "cap on decode tokens per request (0 = dataset default)");
+  flags.AddInt("max-decode", 32,
+               "cap on decode tokens per request of the generated 7:3 split (0 = dataset "
+               "default); online and CSV runs take the trace's lengths");
   flags.AddInt("store-capacity", 512, "fMoE Expert Map Store capacity");
   flags.AddString("map-precision", "fp32",
                   "Expert Map Store column precision: fp32 | fp16 | int8 (fMoE-family "
@@ -157,9 +160,10 @@ int main(int argc, char** argv) {
   flags.AddBool("latencies", false, "include per-request latencies in JSON output");
   flags.AddString("save-store", "", "after an fMoE run, save its Expert Map Store here");
   flags.AddString("trace-csv", "",
-                  "online mode: replay requests from this CSV instead of the synthetic trace "
-                  "(columns: request_id,arrival_time_s,prompt_tokens,decode_tokens[,cluster,"
-                  "seed])");
+                  "serve the requests in this CSV instead of generated ones, per --mode "
+                  "(offline/online: lockstep in arrival order; scheduled: continuous "
+                  "batching). Columns: request_id,arrival_time_s,prompt_tokens,decode_tokens"
+                  "[,cluster,seed]");
   flags.AddString("export-trace", "",
                   "write the generated online trace to this CSV and exit (for editing/replay)");
   flags.AddString("trace-out", "",
@@ -264,7 +268,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown discipline '" << discipline << "' (expected fcfs | sjf)\n";
     return 1;
   }
-  sched.admission = options.admission;
 
   std::vector<std::string> systems;
   if (flags.GetString("system") == "all") {
@@ -302,13 +305,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Custom trace replay: load requests from CSV once, then serve them online per system.
+  // Custom trace replay: the CSV's requests replace the generated ones, served per --mode.
   std::vector<Request> csv_requests;
   const bool use_csv = !flags.GetString("trace-csv").empty();
-  if (use_csv && options.replicas > 1) {
-    std::cerr << "error: --trace-csv replay does not support --replicas > 1\n";
-    return 1;
-  }
   if (use_csv) {
     const TraceIoResult io =
         ReadTraceCsvFromFile(flags.GetString("trace-csv"), options.dataset, &csv_requests);
@@ -320,7 +319,6 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  const int jobs = static_cast<int>(flags.GetInt("jobs"));
   const std::string trace_out = flags.GetString("trace-out");
   const size_t trace_task = static_cast<size_t>(flags.GetInt("trace-task"));
   TraceRecorder recorder;
@@ -329,41 +327,30 @@ int main(int argc, char** argv) {
               << " systems)\n";
     return 1;
   }
-  std::vector<ExperimentResult> results;
-  if (use_csv) {
-    // Replay tasks share the loaded request vector (read-only); each index runs one system and
-    // writes only its own slot, so any job count yields the same result vector.
-    results.resize(systems.size());
-    ParallelForIndex(systems.size(), jobs <= 0 ? ThreadPool::HardwareThreads() : jobs,
-                     [&](size_t i) {
-                       ExperimentOptions task_options = options;
-                       if (!trace_out.empty() && i == trace_task) {
-                         task_options.trace = &recorder;
-                       }
-                       results[i] = RunReplay(systems[i], task_options, csv_requests);
-                     });
-  } else {
-    ExperimentPlan plan(options.seed);
-    for (const std::string& system : systems) {
-      if (online && options.replicas > 1) {
-        plan.AddCluster(system, options, trace, options.test_requests, {"system=" + system});
-      } else if (online) {
-        plan.AddOnline(system, options, trace, options.test_requests, {"system=" + system});
-      } else if (scheduled) {
-        plan.AddScheduled(system, options, trace, options.test_requests, sched,
-                          {"system=" + system});
-      } else {
-        plan.AddOffline(system, options, {"system=" + system});
-      }
+  ExperimentPlan plan(options.seed);
+  for (const std::string& system : systems) {
+    ExperimentTask task{.system = system, .options = options, .tags = {"system=" + system}};
+    if (use_csv) {
+      task.source = RequestSource::kRequests;
+      task.requests = csv_requests;
+    } else if (mode != "offline") {
+      task.source = RequestSource::kTrace;
+      task.trace = trace;
+      task.request_count = options.test_requests;
     }
-    RunnerOptions runner;
-    runner.jobs = jobs;
-    if (!trace_out.empty()) {
-      runner.trace = &recorder;
-      runner.trace_task = trace_task;
+    if (scheduled) {
+      task.serving = Serving::kContinuous;
+      task.scheduler = sched;
     }
-    results = RunPlan(plan, runner);
+    plan.Add(std::move(task));
   }
+  RunnerOptions runner;
+  runner.jobs = static_cast<int>(flags.GetInt("jobs"));
+  if (!trace_out.empty()) {
+    runner.trace = &recorder;
+    runner.trace_task = trace_task;
+  }
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
 
   if (!trace_out.empty()) {
     const std::string process_name = "fmoe_sim [" + std::to_string(trace_task) + "] " +
@@ -435,28 +422,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Optional store export: re-run fMoE through an engine we keep, then persist its store.
+  // Optional store export: warm a fresh fMoE engine on the history, then persist its store.
   const std::string store_path = flags.GetString("save-store");
   if (!store_path.empty()) {
-    SystemSpec spec = MakeSystem("fMoE", options.model, options.prefetch_distance,
-                                 options.store_capacity, /*low_precision_threshold=*/0.0,
-                                 options.map_precision);
-    EngineConfig config;
-    config.prefetch_distance = options.prefetch_distance;
-    config.gpu_count = options.gpu_count;
-    config.expert_cache_bytes = ResolveCacheBytes(options);
-    config.cache_policy = spec.cache_policy;
-    config.seed = options.seed;
-    ServingEngine engine(options.model, config, spec.policy.get());
+    ExperimentOptions store_options = options;
+    store_options.replicas = 1;
+    Replica replica = MakeReplica("fMoE", store_options, 0);
     WorkloadGenerator generator(options.dataset, options.seed);
     std::vector<Request> history = generator.Generate(options.history_requests);
     for (Request& request : history) {
       if (options.max_decode_tokens > 0) {
         request.decode_tokens = std::min(request.decode_tokens, options.max_decode_tokens);
       }
-      engine.ServeRequest(request);
     }
-    auto* policy = dynamic_cast<FmoePolicy*>(spec.policy.get());
+    replica.engine->WarmupWithHistory(history);
+    const auto* policy = dynamic_cast<const FmoePolicy*>(replica.spec.policy.get());
     const StoreIoResult io = SaveStoreToFile(policy->store(), store_path);
     if (!io.ok) {
       std::cerr << "error: saving store failed: " << io.error << "\n";

@@ -1,6 +1,9 @@
 #include "src/workload/trace_io.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -27,10 +30,12 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return cells;
 }
 
+// strtoll saturates on overflow; errno tells a saturated value from a real one.
 bool ParseInt(const std::string& text, long long* value) {
   char* end = nullptr;
+  errno = 0;
   *value = std::strtoll(text.c_str(), &end, 10);
-  return !text.empty() && *end == '\0';
+  return !text.empty() && *end == '\0' && errno != ERANGE;
 }
 
 bool ParseUint(const std::string& text, uint64_t* value) {
@@ -108,7 +113,10 @@ TraceIoResult ReadTraceCsv(std::istream& in, const DatasetProfile& profile,
       return TraceIoResult::Failure("line " + std::to_string(line_number) +
                                     ": malformed numeric field");
     }
-    if (prompt <= 0 || decode < 0 || arrival < 0.0) {
+    // Arrivals must be finite (strtod accepts nan/inf), and token counts must fit the int
+    // fields they are stored in.
+    if (id < 0 || prompt <= 0 || prompt > INT_MAX || decode < 0 || decode > INT_MAX ||
+        !std::isfinite(arrival) || arrival < 0.0) {
       return TraceIoResult::Failure("line " + std::to_string(line_number) +
                                     ": out-of-range value");
     }

@@ -36,7 +36,10 @@ struct TraceIoResult {
 TraceIoResult WriteTraceCsv(const std::vector<Request>& requests, std::ostream& out);
 
 // Parses CSV into requests. `profile` supplies routing defaults (cluster count, noise range)
-// for rows without explicit routing columns. On failure `requests` is left unchanged.
+// for rows without explicit routing columns. Rejects, with a line-numbered error, any row
+// whose request id or decode count is negative, whose prompt count is not positive, whose
+// token counts exceed INT_MAX, or whose arrival is negative, non-finite or earlier than the
+// previous row's. On failure `requests` is left unchanged.
 TraceIoResult ReadTraceCsv(std::istream& in, const DatasetProfile& profile,
                            std::vector<Request>* requests);
 

@@ -1,6 +1,6 @@
 // Multi-replica cluster suite (DESIGN.md §5i): router policy parsing, routing behaviour per
-// policy, the replicas == 1 byte-identity contract against RunOnline, and request
-// conservation across replicas.
+// policy, request conservation and result pooling across replicas. The replicas == 1 contract
+// is pinned against the online golden (golden_metrics_test).
 #include "src/serving/cluster.h"
 
 #include <gtest/gtest.h>
@@ -117,27 +117,13 @@ TraceProfile FastTrace() {
   return trace;
 }
 
-TEST(RunClusterTest, SingleReplicaMatchesRunOnlineByteIdentically) {
-  ExperimentOptions options = SmallOptions();
-  options.replicas = 1;
-  // Router/memory knobs must be inert at R == 1.
-  options.router_policy = RouterPolicy::kSemanticAffinity;
-  options.cluster_memory = ClusterMemoryMode::kPartition;
-
-  const ExperimentResult online = RunOnline("fMoE", options, FastTrace(), 16);
-  const ExperimentResult cluster = RunCluster("fMoE", options, FastTrace(), 16);
-  EXPECT_FALSE(cluster.cluster_enabled);
-
-  std::ostringstream online_json;
-  std::ostringstream cluster_json;
-  WriteResultJson(online, /*include_latencies=*/true, online_json);
-  WriteResultJson(cluster, /*include_latencies=*/true, cluster_json);
-  EXPECT_EQ(online_json.str(), cluster_json.str());
-
-  // The summary is still filled for benches even though the report omits it.
-  EXPECT_EQ(1, cluster.cluster.replicas);
-  EXPECT_GT(cluster.cluster.makespan, 0.0);
-  EXPECT_GT(cluster.cluster.aggregate_throughput_rps, 0.0);
+// fMoE over the first `requests` arrivals of FastTrace().
+ExperimentTask TraceTask(const ExperimentOptions& options, size_t requests) {
+  return {.system = "fMoE",
+          .options = options,
+          .source = RequestSource::kTrace,
+          .trace = FastTrace(),
+          .request_count = requests};
 }
 
 TEST(RunClusterTest, RequestsAreConservedAcrossReplicas) {
@@ -147,7 +133,7 @@ TEST(RunClusterTest, RequestsAreConservedAcrossReplicas) {
     ExperimentOptions options = SmallOptions();
     options.replicas = 3;
     options.router_policy = policy;
-    const ExperimentResult result = RunCluster("fMoE", options, FastTrace(), 16);
+    const ExperimentResult result = RunExperiment(TraceTask(options, 16));
     ASSERT_TRUE(result.cluster_enabled);
     ASSERT_EQ(3u, result.cluster.replica_stats.size());
     size_t total = 0;
@@ -167,8 +153,8 @@ TEST(RunClusterTest, ClusterRunsAreDeterministic) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 2;
   options.router_policy = RouterPolicy::kSemanticAffinity;
-  const ExperimentResult a = RunCluster("fMoE", options, FastTrace(), 16);
-  const ExperimentResult b = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult a = RunExperiment(TraceTask(options, 16));
+  const ExperimentResult b = RunExperiment(TraceTask(options, 16));
   std::ostringstream ja;
   std::ostringstream jb;
   WriteResultJson(a, /*include_latencies=*/true, ja);
@@ -178,7 +164,7 @@ TEST(RunClusterTest, ClusterRunsAreDeterministic) {
 
 // Two round-robin replicas over an odd request count serve different numbers of requests and
 // iterations. Each replica is an independent engine serving its share in arrival order, which
-// is exactly RunReplay over that share, so the merged result must pool the two replays'
+// is exactly a one-replica run over that share, so the merged result must pool the two replays'
 // per-request values and add their counters, tier block included.
 TEST(RunClusterTest, MergePoolsPerRequestValuesAcrossUnevenReplicas) {
   ExperimentOptions options = SmallOptions();
@@ -188,7 +174,7 @@ TEST(RunClusterTest, MergePoolsPerRequestValuesAcrossUnevenReplicas) {
   options.tier.host_capacity_bytes = options.model.total_expert_bytes() / 4;
   options.host_stage_candidates = 2;
   constexpr size_t kRequests = 15;
-  const ExperimentResult merged = RunCluster("fMoE", options, FastTrace(), kRequests);
+  const ExperimentResult merged = RunExperiment(TraceTask(options, kRequests));
 
   DatasetProfile dataset = options.dataset;
   dataset.max_decode_tokens = options.max_decode_tokens;
@@ -199,8 +185,14 @@ TEST(RunClusterTest, MergePoolsPerRequestValuesAcrossUnevenReplicas) {
     ASSERT_GT(requests[i].decode_tokens, 0);  // Every request contributes one TPOT value.
     shares[i % 2].push_back(requests[i]);
   }
-  const ExperimentResult a = RunReplay("fMoE", options, shares[0]);
-  const ExperimentResult b = RunReplay("fMoE", options, shares[1]);
+  ExperimentOptions one = options;
+  one.replicas = 1;
+  const ExperimentResult a = RunExperiment(
+      {.system = "fMoE", .options = one, .source = RequestSource::kRequests,
+       .requests = shares[0]});
+  const ExperimentResult b = RunExperiment(
+      {.system = "fMoE", .options = one, .source = RequestSource::kRequests,
+       .requests = shares[1]});
   ASSERT_NE(a.iterations, b.iterations);
 
   ASSERT_EQ(merged.request_latencies.size(), kRequests);
@@ -238,9 +230,9 @@ TEST(RunClusterTest, PartitionModeShrinksPerReplicaCache) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 4;
   options.cluster_memory = ClusterMemoryMode::kPartition;
-  const ExperimentResult partitioned = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult partitioned = RunExperiment(TraceTask(options, 16));
   options.cluster_memory = ClusterMemoryMode::kReplicate;
-  const ExperimentResult replicated = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult replicated = RunExperiment(TraceTask(options, 16));
   // Aggregate cache capacity: replicate = R x budget, partition = ~1 x budget.
   EXPECT_GT(replicated.cache_capacity_gb, partitioned.cache_capacity_gb * 2.0);
 }
@@ -248,9 +240,9 @@ TEST(RunClusterTest, PartitionModeShrinksPerReplicaCache) {
 TEST(RunClusterTest, ReportIncludesClusterBlockOnlyWhenEnabled) {
   ExperimentOptions options = SmallOptions();
   options.replicas = 2;
-  const ExperimentResult multi = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult multi = RunExperiment(TraceTask(options, 16));
   options.replicas = 1;
-  const ExperimentResult single = RunCluster("fMoE", options, FastTrace(), 16);
+  const ExperimentResult single = RunExperiment(TraceTask(options, 16));
   std::ostringstream multi_json;
   std::ostringstream single_json;
   WriteResultJson(multi, /*include_latencies=*/false, multi_json);

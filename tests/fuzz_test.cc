@@ -1,9 +1,13 @@
 // Randomized model-checking tests: drive the expert cache and the PCIe link with long random
 // operation sequences and verify them against simple reference models / global invariants.
+#include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +18,9 @@
 #include "src/memsim/link.h"
 #include "src/serving/engine.h"
 #include "src/serving/scheduler.h"
+#include "src/serving/trace.h"
 #include "src/util/rng.h"
+#include "src/workload/trace_io.h"
 #include "src/workload/workload.h"
 
 namespace fmoe {
@@ -371,6 +377,102 @@ TEST_P(SchedulerFuzzTest, ControllerBookkeepingConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzzTest, ::testing::Values(7u, 123u, 2026u, 60901u));
+
+// ---------------------------------------------------------------------------
+// Trace CSV reader under byte mutations: a valid exported trace has bytes overwritten,
+// inserted and deleted, and number-shaped tokens spliced in (nan, inf, counts past INT_MAX).
+// Whatever the reader accepts must be finite, non-negative, arrival-sorted, and hold each
+// row's counts exactly as written (no narrowing into the int fields).
+
+class TraceCsvFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The data rows of `csv` (header dropped, blank lines skipped), each split on commas and
+// trimmed the way the reader trims.
+std::vector<std::vector<std::string>> DataRows(const std::string& csv) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(csv);
+  std::string line;
+  std::getline(lines, line);
+  while (std::getline(lines, line)) {
+    if (line.empty() || line == "\r") {
+      continue;
+    }
+    std::vector<std::string> cells;
+    std::istringstream fields(line);
+    std::string cell;
+    while (std::getline(fields, cell, ',')) {
+      const size_t begin = cell.find_first_not_of(" \t\r");
+      const size_t end = cell.find_last_not_of(" \t\r");
+      cells.push_back(begin == std::string::npos ? "" : cell.substr(begin, end - begin + 1));
+    }
+    rows.push_back(cells);
+  }
+  return rows;
+}
+
+TEST_P(TraceCsvFuzzTest, AcceptedParsesAreFiniteSortedAndExact) {
+  Rng rng(GetParam());
+  std::ostringstream exported;
+  ASSERT_TRUE(
+      WriteTraceCsv(TraceGenerator(TraceProfile{}, LmsysLikeProfile(), GetParam()).Generate(6),
+                    exported)
+          .ok);
+  const std::string base = exported.str();
+  const size_t header_end = base.find('\n') + 1;  // The header stays intact.
+  const std::string alphabet = "0123456789-+.eE,xnaifNI \r\n";
+  const std::vector<std::string> tokens = {
+      "nan", "inf", "-inf", "1e400", "-0", "4294967297", "2147483648", "2147483647",
+      "-2147483649", "9223372036854775808", "0x1p3", "", ","};
+
+  size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string csv = base;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int e = 0; e < edits && csv.size() > header_end; ++e) {
+      const size_t at = header_end + rng.NextBounded(csv.size() - header_end);
+      switch (rng.NextBounded(4)) {
+        case 0:
+          csv[at] = alphabet[rng.NextBounded(alphabet.size())];
+          break;
+        case 1:
+          csv[at] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 2:
+          csv.erase(at, 1 + rng.NextBounded(3));
+          break;
+        default:
+          csv.insert(at, tokens[rng.NextBounded(tokens.size())]);
+          break;
+      }
+    }
+    std::istringstream in(csv);
+    std::vector<Request> requests;
+    if (!ReadTraceCsv(in, LmsysLikeProfile(), &requests).ok) {
+      continue;
+    }
+    ++accepted;
+    const std::vector<std::vector<std::string>> rows = DataRows(csv);
+    ASSERT_EQ(rows.size(), requests.size()) << csv;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const Request& request = requests[i];
+      ASSERT_TRUE(std::isfinite(request.arrival_time)) << csv;
+      ASSERT_GE(request.arrival_time, 0.0) << csv;
+      if (i > 0) {
+        ASSERT_GE(request.arrival_time, requests[i - 1].arrival_time) << csv;
+      }
+      ASSERT_GT(request.prompt_tokens, 0) << csv;
+      ASSERT_GE(request.decode_tokens, 0) << csv;
+      ASSERT_EQ(std::strtoll(rows[i][2].c_str(), nullptr, 10), request.prompt_tokens) << csv;
+      ASSERT_EQ(std::strtoll(rows[i][3].c_str(), nullptr, 10), request.decode_tokens) << csv;
+      ASSERT_EQ(std::strtod(rows[i][1].c_str(), nullptr), request.arrival_time) << csv;
+    }
+  }
+  // Both outcomes must actually occur, or the fuzz is testing nothing.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 3000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceCsvFuzzTest, ::testing::Values(3u, 41u, 2718u, 99991u));
 
 }  // namespace
 }  // namespace fmoe

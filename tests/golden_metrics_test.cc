@@ -20,6 +20,7 @@
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
 #include "src/harness/systems.h"
+#include "src/workload/burst.h"
 
 namespace fmoe {
 namespace {
@@ -46,6 +47,15 @@ ExperimentOptions GoldenOptions() {
   options.cache_fraction = 0.22;
   options.seed = 42;
   return options;
+}
+
+// A cold-start task over the first options.test_requests arrivals of the default Azure-like
+// trace, served FIFO on one engine unless the caller changes it.
+ExperimentTask GoldenTraceTask(const std::string& system, const ExperimentOptions& options) {
+  return {.system = system,
+          .options = options,
+          .source = RequestSource::kTrace,
+          .request_count = options.test_requests};
 }
 
 std::string RenderReport(const std::vector<ExperimentResult>& results) {
@@ -77,7 +87,7 @@ void CompareOrUpdate(const std::string& golden_name, const std::string& actual) 
 TEST(GoldenMetricsTest, FiveSystemsOfflineMixtralSmall) {
   std::vector<ExperimentResult> results;
   for (const std::string& system : PaperSystemNames()) {
-    results.push_back(RunOffline(system, GoldenOptions()));
+    results.push_back(RunExperiment({.system = system, .options = GoldenOptions()}));
   }
   CompareOrUpdate("offline_mixtral_small.json", RenderReport(results));
 }
@@ -89,8 +99,8 @@ TEST(GoldenMetricsTest, FmoeAsyncPipelineMixtralSmall) {
   ExperimentOptions options = GoldenOptions();
   options.matcher_latency_scale = 1.0;
   std::vector<ExperimentResult> results;
-  results.push_back(RunOffline("fMoE", options));
-  results.push_back(RunOffline("ProMoE", options));
+  results.push_back(RunExperiment({.system = "fMoE", .options = options}));
+  results.push_back(RunExperiment({.system = "ProMoE", .options = options}));
   CompareOrUpdate("offline_mixtral_async_scale1.json", RenderReport(results));
 }
 
@@ -102,11 +112,11 @@ TEST(GoldenMetricsTest, DisabledTierConfigIsByteIdenticalToLegacy) {
   std::vector<ExperimentResult> legacy;
   std::vector<ExperimentResult> disabled_tier;
   for (const std::string& system : {std::string("fMoE"), std::string("MoE-Infinity")}) {
-    legacy.push_back(RunOffline(system, GoldenOptions()));
+    legacy.push_back(RunExperiment({.system = system, .options = GoldenOptions()}));
     ExperimentOptions options = GoldenOptions();
     options.tier = TierConfig{};  // All knobs at their defaults, nvme_backing off.
     options.host_stage_candidates = 2;  // Must be a no-op without a host tier.
-    disabled_tier.push_back(RunOffline(system, options));
+    disabled_tier.push_back(RunExperiment({.system = system, .options = options}));
     EXPECT_FALSE(disabled_tier.back().tier_enabled);
   }
   EXPECT_EQ(RenderReport(legacy), RenderReport(disabled_tier));
@@ -123,7 +133,7 @@ TEST(GoldenMetricsTest, FmoeThreeTierMixtralSmall) {
       static_cast<uint64_t>(0.3 * static_cast<double>(options.model.total_expert_bytes()));
   options.host_stage_candidates = 2;
   std::vector<ExperimentResult> results;
-  results.push_back(RunOffline("fMoE", options));
+  results.push_back(RunExperiment({.system = "fMoE", .options = options}));
   ASSERT_TRUE(results.back().tier_enabled);
   EXPECT_GT(results.back().tier.stages_issued, 0u);
   CompareOrUpdate("offline_mixtral_three_tier.json", RenderReport(results));
@@ -143,10 +153,77 @@ TEST(GoldenMetricsTest, SingleShardSingleReplicaMatchesCommittedGolden) {
   options.cluster_memory = ClusterMemoryMode::kPartition;   // Inert at R == 1.
   std::vector<ExperimentResult> results;
   for (const std::string& system : PaperSystemNames()) {
-    results.push_back(RunOffline(system, options));
+    results.push_back(RunExperiment({.system = system, .options = options}));
     EXPECT_FALSE(results.back().cluster_enabled);
   }
   CompareOrUpdate("offline_mixtral_small.json", RenderReport(results));
+}
+
+// Golden-pins the online protocol (§6.3): fMoE and the on-demand baseline serve an Azure-like
+// trace cold, one request at a time in arrival order, on one engine.
+TEST(GoldenMetricsTest, OnlineFifoMixtralSmall) {
+  std::vector<ExperimentResult> results;
+  for (const std::string& system : {std::string("fMoE"), std::string("DeepSpeed-Inference")}) {
+    results.push_back(RunExperiment(GoldenTraceTask(system, GoldenOptions())));
+  }
+  CompareOrUpdate("online_mixtral_small.json", RenderReport(results));
+}
+
+// One replica is the single-engine online protocol whatever the cluster knobs say: the router
+// and memory mode set to non-default values are inert at R == 1, the report omits the cluster
+// block, and the summary benches read is still filled.
+TEST(GoldenMetricsTest, SingleReplicaClusterKnobsMatchOnlineGolden) {
+  ExperimentOptions options = GoldenOptions();
+  options.replicas = 1;
+  options.router_policy = RouterPolicy::kSemanticAffinity;
+  options.cluster_memory = ClusterMemoryMode::kPartition;
+  std::vector<ExperimentResult> results;
+  for (const std::string& system : {std::string("fMoE"), std::string("DeepSpeed-Inference")}) {
+    results.push_back(RunExperiment(GoldenTraceTask(system, options)));
+    const ExperimentResult& result = results.back();
+    EXPECT_FALSE(result.cluster_enabled);
+    EXPECT_EQ(1, result.cluster.replicas);
+    EXPECT_GT(result.cluster.makespan, 0.0);
+    EXPECT_GT(result.cluster.aggregate_throughput_rps, 0.0);
+  }
+  CompareOrUpdate("online_mixtral_small.json", RenderReport(results));
+}
+
+// Golden-pins a three-replica cluster: semantic-affinity routing with a gradient controller
+// per replica shedding against a 12 s SLO, so the pooled merge, the uneven per-replica split
+// and the summed admission ledger all show up in the report.
+TEST(GoldenMetricsTest, ClusterAffinityGradientMixtralSmall) {
+  ExperimentOptions options = GoldenOptions();
+  options.test_requests = 12;
+  options.replicas = 3;
+  options.router_policy = RouterPolicy::kSemanticAffinity;
+  options.admission.policy = AdmissionPolicyKind::kGradient;
+  options.admission.slo_sec = 12.0;
+  ExperimentTask task = GoldenTraceTask("fMoE", options);
+  task.trace.mean_arrival_rate = 0.5;
+  task.trace.max_decode_tokens = 32;
+  const ExperimentResult result = RunExperiment(task);
+  ASSERT_TRUE(result.cluster_enabled);
+  EXPECT_GT(result.admission.rejected, 0u);
+  CompareOrUpdate("cluster_mixtral_small.json", RenderReport({result}));
+}
+
+// Golden-pins a given request list (a square-wave burst trace) served cold in arrival order.
+TEST(GoldenMetricsTest, GivenRequestsReplayMixtralSmall) {
+  BurstTraceProfile burst;
+  burst.base_rate = 0.2;
+  burst.burst_rate = 4.0;
+  burst.period_sec = 20.0;
+  DatasetProfile prompts = GoldenOptions().dataset;
+  prompts.max_decode_tokens = GoldenOptions().max_decode_tokens;
+  std::vector<ExperimentResult> results;
+  for (const std::string& system : {std::string("fMoE"), std::string("MoE-Infinity")}) {
+    results.push_back(RunExperiment({.system = system,
+                                     .options = GoldenOptions(),
+                                     .source = RequestSource::kRequests,
+                                     .requests = MakeBurstTrace(burst, prompts, 8, /*seed=*/7)}));
+  }
+  CompareOrUpdate("replay_mixtral_small.json", RenderReport(results));
 }
 
 // Golden-pins the continuous-batching scheduled path under the default open-loop admission
@@ -154,12 +231,11 @@ TEST(GoldenMetricsTest, SingleShardSingleReplicaMatchesCommittedGolden) {
 // the ContinuousBatchScheduler at a fixed seed. Any drift in batching, queue discipline, or
 // the open-loop controller's pass-through shows up as a byte-level diff here.
 TEST(GoldenMetricsTest, ScheduledOpenLoopMixtralSmall) {
-  TraceProfile trace;
   std::vector<ExperimentResult> results;
   for (const std::string& system : {std::string("fMoE"), std::string("DeepSpeed-Inference")}) {
-    results.push_back(
-        RunScheduled(system, GoldenOptions(), trace, GoldenOptions().test_requests,
-                     SchedulerOptions{}));
+    ExperimentTask task = GoldenTraceTask(system, GoldenOptions());
+    task.serving = Serving::kContinuous;
+    results.push_back(RunExperiment(task));
     EXPECT_FALSE(results.back().admission_enabled);
   }
   CompareOrUpdate("scheduled_mixtral_small.json", RenderReport(results));
@@ -170,19 +246,19 @@ TEST(GoldenMetricsTest, ScheduledOpenLoopMixtralSmall) {
 // loop — replays the committed scheduled golden byte-identically (the closed-loop analogue of
 // DisabledTierConfigIsByteIdenticalToLegacy, pinned against the file on disk).
 TEST(GoldenMetricsTest, OpenLoopKnobsMatchCommittedScheduledGolden) {
-  SchedulerOptions sched;
-  sched.admission.slo_sec = 0.001;       // Would shed nearly everything if honoured.
-  sched.admission.shed_fraction = 0.01;
-  sched.admission.window_sec = 0.01;
-  sched.admission.update_period_sec = 0.0;
-  sched.admission.gain = 0.9;
-  sched.admission.thrash_threshold = 0.0;
-  sched.admission.inflight_threshold = 0.0;
-  TraceProfile trace;
+  ExperimentOptions options = GoldenOptions();
+  options.admission.slo_sec = 0.001;  // Would shed nearly everything if honoured.
+  options.admission.shed_fraction = 0.01;
+  options.admission.window_sec = 0.01;
+  options.admission.update_period_sec = 0.0;
+  options.admission.gain = 0.9;
+  options.admission.thrash_threshold = 0.0;
+  options.admission.inflight_threshold = 0.0;
   std::vector<ExperimentResult> results;
   for (const std::string& system : {std::string("fMoE"), std::string("DeepSpeed-Inference")}) {
-    results.push_back(
-        RunScheduled(system, GoldenOptions(), trace, GoldenOptions().test_requests, sched));
+    ExperimentTask task = GoldenTraceTask(system, options);
+    task.serving = Serving::kContinuous;
+    results.push_back(RunExperiment(task));
     EXPECT_FALSE(results.back().admission_enabled);
   }
   CompareOrUpdate("scheduled_mixtral_small.json", RenderReport(results));
@@ -198,7 +274,7 @@ TEST(GoldenMetricsTest, OracleDisabledIsByteIdentical) {
   for (const std::string& system : PaperSystemNames()) {
     ExperimentOptions options = GoldenOptions();
     options.oracle = false;
-    results.push_back(RunOffline(system, options));
+    results.push_back(RunExperiment({.system = system, .options = options}));
     EXPECT_FALSE(results.back().oracle_enabled);
   }
   CompareOrUpdate("offline_mixtral_small.json", RenderReport(results));
@@ -209,7 +285,7 @@ TEST(GoldenMetricsTest, OracleEnabledOnlyAppendsTheOracleBlock) {
   for (const std::string& system : PaperSystemNames()) {
     ExperimentOptions options = GoldenOptions();
     options.oracle = true;
-    results.push_back(RunOffline(system, options));
+    results.push_back(RunExperiment({.system = system, .options = options}));
     ASSERT_TRUE(results.back().oracle_enabled);
     EXPECT_GT(results.back().oracle.accesses, 0u);
     results.back().oracle_enabled = false;  // Mask the block; the rest must match the file.
@@ -225,12 +301,12 @@ TEST(GoldenMetricsTest, OracleEnabledOnlyAppendsTheOracleBlock) {
 // store itself must report the 2×/4× Fig. 16 footprint shrink the quantization buys.
 TEST(GoldenMetricsTest, QuantizedStoresTrackFp32WithinTolerance) {
   ExperimentOptions options = GoldenOptions();
-  const ExperimentResult fp32 = RunOffline("fMoE", options);
+  const ExperimentResult fp32 = RunExperiment({.system = "fMoE", .options = options});
   ASSERT_GT(fp32.hit_rate, 0.0);
   for (const MapPrecision precision : {MapPrecision::kFp16, MapPrecision::kInt8}) {
     SCOPED_TRACE(MapPrecisionName(precision));
     options.map_precision = precision;
-    const ExperimentResult quantized = RunOffline("fMoE", options);
+    const ExperimentResult quantized = RunExperiment({.system = "fMoE", .options = options});
     // Same workload shape regardless of precision.
     EXPECT_EQ(quantized.iterations, fp32.iterations);
     // End-to-end hit-rate delta bound: two percentage points.

@@ -26,25 +26,28 @@ ExperimentOptions FastOptions() {
 
 TEST(IntegrationTest, FmoeBeatsOnDemandBaseline) {
   const ExperimentOptions options = FastOptions();
-  const ExperimentResult fmoe = RunOffline("fMoE", options);
-  const ExperimentResult deepspeed = RunOffline("DeepSpeed-Inference", options);
+  const ExperimentResult fmoe = RunExperiment({.system = "fMoE", .options = options});
+  const ExperimentResult deepspeed = RunExperiment(
+      {.system = "DeepSpeed-Inference", .options = options});
   EXPECT_LT(fmoe.mean_tpot, deepspeed.mean_tpot);
   EXPECT_GT(fmoe.hit_rate, deepspeed.hit_rate);
 }
 
 TEST(IntegrationTest, FmoeBeatsCoarseGrainedTracking) {
   const ExperimentOptions options = FastOptions();
-  const ExperimentResult fmoe = RunOffline("fMoE", options);
-  const ExperimentResult eam = RunOffline("MoE-Infinity", options);
+  const ExperimentResult fmoe = RunExperiment({.system = "fMoE", .options = options});
+  const ExperimentResult eam = RunExperiment({.system = "MoE-Infinity", .options = options});
   EXPECT_GT(fmoe.hit_rate, eam.hit_rate);
   EXPECT_LT(fmoe.mean_tpot, eam.mean_tpot);
 }
 
 TEST(IntegrationTest, SynchronousSpeculationHasHighHitRateButWorseLatencyThanFmoe) {
   const ExperimentOptions options = FastOptions();
-  const ExperimentResult fmoe = RunOffline("fMoE", options);
-  const ExperimentResult mixtral = RunOffline("Mixtral-Offloading", options);
-  const ExperimentResult deepspeed = RunOffline("DeepSpeed-Inference", options);
+  const ExperimentResult fmoe = RunExperiment({.system = "fMoE", .options = options});
+  const ExperimentResult mixtral = RunExperiment(
+      {.system = "Mixtral-Offloading", .options = options});
+  const ExperimentResult deepspeed = RunExperiment(
+      {.system = "DeepSpeed-Inference", .options = options});
   // Fig. 9 shape: synchronous speculation buys hit rate over on-demand loading, but fMoE
   // still wins end-to-end latency.
   EXPECT_GT(mixtral.hit_rate, deepspeed.hit_rate + 0.1);
@@ -53,8 +56,8 @@ TEST(IntegrationTest, SynchronousSpeculationHasHighHitRateButWorseLatencyThanFmo
 
 TEST(IntegrationTest, ResultsAreDeterministic) {
   const ExperimentOptions options = FastOptions();
-  const ExperimentResult a = RunOffline("fMoE", options);
-  const ExperimentResult b = RunOffline("fMoE", options);
+  const ExperimentResult a = RunExperiment({.system = "fMoE", .options = options});
+  const ExperimentResult b = RunExperiment({.system = "fMoE", .options = options});
   EXPECT_DOUBLE_EQ(a.mean_tpot, b.mean_tpot);
   EXPECT_DOUBLE_EQ(a.mean_ttft, b.mean_ttft);
   EXPECT_DOUBLE_EQ(a.hit_rate, b.hit_rate);
@@ -63,8 +66,9 @@ TEST(IntegrationTest, ResultsAreDeterministic) {
 TEST(IntegrationTest, DifferentSeedsStillPreserveOrdering) {
   ExperimentOptions options = FastOptions();
   options.seed = 777;
-  const ExperimentResult fmoe = RunOffline("fMoE", options);
-  const ExperimentResult deepspeed = RunOffline("DeepSpeed-Inference", options);
+  const ExperimentResult fmoe = RunExperiment({.system = "fMoE", .options = options});
+  const ExperimentResult deepspeed = RunExperiment(
+      {.system = "DeepSpeed-Inference", .options = options});
   EXPECT_LT(fmoe.mean_tpot, deepspeed.mean_tpot);
 }
 
@@ -73,15 +77,15 @@ TEST(IntegrationTest, LargerCacheImprovesOnDemandLatency) {
   small.cache_fraction = 0.15;
   ExperimentOptions large = FastOptions();
   large.cache_fraction = 0.9;
-  const ExperimentResult slow = RunOffline("DeepSpeed-Inference", small);
-  const ExperimentResult fast = RunOffline("DeepSpeed-Inference", large);
+  const ExperimentResult slow = RunExperiment({.system = "DeepSpeed-Inference", .options = small});
+  const ExperimentResult fast = RunExperiment({.system = "DeepSpeed-Inference", .options = large});
   EXPECT_LE(fast.mean_tpot, slow.mean_tpot);
 }
 
 TEST(IntegrationTest, NoOffloadIsFastest) {
   const ExperimentOptions options = FastOptions();
-  const ExperimentResult resident = RunOffline("No-offload", options);
-  const ExperimentResult fmoe = RunOffline("fMoE", options);
+  const ExperimentResult resident = RunExperiment({.system = "No-offload", .options = options});
+  const ExperimentResult fmoe = RunExperiment({.system = "fMoE", .options = options});
   EXPECT_LT(resident.mean_tpot, fmoe.mean_tpot);
   EXPECT_DOUBLE_EQ(resident.hit_rate, 1.0);
 }
@@ -90,8 +94,8 @@ TEST(IntegrationTest, AblationHierarchyHolds) {
   // Fig. 12a: adding semantic search and the dynamic threshold should not hurt, and the full
   // system should clearly beat coarse hit-count tracking.
   const ExperimentOptions options = FastOptions();
-  const double full = RunOffline("Map(T+S+d)", options).hit_rate;
-  const double hit_count = RunOffline("HitCount", options).hit_rate;
+  const double full = RunExperiment({.system = "Map(T+S+d)", .options = options}).hit_rate;
+  const double hit_count = RunExperiment({.system = "HitCount", .options = options}).hit_rate;
   EXPECT_GT(full, hit_count);
 }
 
@@ -99,7 +103,9 @@ TEST(IntegrationTest, OnlineServingProducesLatencies) {
   ExperimentOptions options = FastOptions();
   TraceProfile trace;
   trace.mean_arrival_rate = 5.0;
-  const ExperimentResult result = RunOnline("fMoE", options, trace, 16);
+  const ExperimentResult result = RunExperiment(
+      {.system = "fMoE", .options = options, .source = RequestSource::kTrace, .trace = trace,
+       .request_count = 16});
   ASSERT_EQ(result.request_latencies.size(), 16u);
   for (double latency : result.request_latencies) {
     EXPECT_GT(latency, 0.0);
@@ -113,8 +119,12 @@ TEST(IntegrationTest, OnlineFmoeBeatsOnlineDeepSpeed) {
   options.max_decode_tokens = 24;
   TraceProfile trace;
   trace.mean_arrival_rate = 2.0;
-  const ExperimentResult fmoe = RunOnline("fMoE", options, trace, 40);
-  const ExperimentResult deepspeed = RunOnline("DeepSpeed-Inference", options, trace, 40);
+  const ExperimentResult fmoe = RunExperiment(
+      {.system = "fMoE", .options = options, .source = RequestSource::kTrace, .trace = trace,
+       .request_count = 40});
+  const ExperimentResult deepspeed = RunExperiment(
+      {.system = "DeepSpeed-Inference", .options = options, .source = RequestSource::kTrace,
+       .trace = trace, .request_count = 40});
   EXPECT_LT(fmoe.mean_e2e, deepspeed.mean_e2e);
 }
 
@@ -122,7 +132,7 @@ TEST(IntegrationTest, ScoreLogAlignsWithIterationRecords) {
   ExperimentOptions options = FastOptions();
   options.enable_score_log = true;
   options.keep_iteration_records = true;
-  const ExperimentResult result = RunOffline("fMoE", options);
+  const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
   EXPECT_EQ(result.score_log.size(), result.iteration_records.size());
   EXPECT_GT(result.mean_semantic_score, 0.0);
 }
@@ -140,7 +150,7 @@ TEST(IntegrationTest, ResolveCacheBytesUsesFractionOrOverride) {
 TEST(IntegrationTest, BatchSizeTwoRunsCleanly) {
   ExperimentOptions options = FastOptions();
   options.batch_size = 2;
-  const ExperimentResult result = RunOffline("fMoE", options);
+  const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
   EXPECT_GT(result.mean_tpot, 0.0);
   EXPECT_GT(result.hit_rate, 0.0);
 }
@@ -149,7 +159,7 @@ TEST(IntegrationTest, PrefetchDistanceSweepStaysServable) {
   for (int distance = 1; distance <= 3; ++distance) {
     ExperimentOptions options = FastOptions();
     options.prefetch_distance = distance;
-    const ExperimentResult result = RunOffline("fMoE", options);
+    const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
     EXPECT_GT(result.hit_rate, 0.0) << "distance " << distance;
   }
 }

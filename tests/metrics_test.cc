@@ -124,7 +124,7 @@ TEST(LatencyBreakdownTest, ComponentsMatchSummedTraceSpans) {
   options.max_decode_tokens = 12;
   options.seed = 11;
   options.trace = &recorder;
-  const ExperimentResult result = RunOffline("fMoE", options);
+  const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
 
   ASSERT_FALSE(recorder.events().empty());
   // Span sums reassociate the breakdown's additions, hence near- rather than exact equality.

@@ -6,7 +6,7 @@
 // bypass semantics). The rest pins the gap report's invariants — gaps in [0, 1], the
 // headline percentage in [0, 100], counter conservation, determinism, cluster-merge
 // arithmetic — and the end-to-end pure-observer contract: enabling the oracle on a real
-// RunOffline changes nothing outside the report's oracle block (the byte-level version of
+// 7:3 split run changes nothing outside the report's oracle block (the byte-level version of
 // that lives in golden_metrics_test.cc).
 #include <algorithm>
 #include <string>
@@ -320,9 +320,9 @@ TEST(OracleEndToEndTest, EnablingOracleIsAPureObservation) {
   options.store_capacity = 64;
   options.cache_fraction = 0.22;
   options.seed = 42;
-  const ExperimentResult off = RunOffline("fMoE", options);
+  const ExperimentResult off = RunExperiment({.system = "fMoE", .options = options});
   options.oracle = true;
-  const ExperimentResult on = RunOffline("fMoE", options);
+  const ExperimentResult on = RunExperiment({.system = "fMoE", .options = options});
 
   EXPECT_FALSE(off.oracle_enabled);
   ASSERT_TRUE(on.oracle_enabled);

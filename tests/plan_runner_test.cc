@@ -9,6 +9,7 @@
 #include <set>
 
 #include "src/harness/runner.h"
+#include "src/obs/trace_recorder.h"
 
 namespace fmoe {
 namespace {
@@ -34,19 +35,37 @@ TraceProfile TinyTrace() {
   return trace;
 }
 
-// A plan exercising all three modes with heterogeneous per-task cost, so parallel execution
-// actually interleaves completions out of plan order.
+// A cold-start task over `count` arrivals of TinyTrace().
+ExperimentTask TraceTask(const std::string& system, size_t count) {
+  return {.system = system,
+          .options = TinyOptions(),
+          .source = RequestSource::kTrace,
+          .trace = TinyTrace(),
+          .request_count = count};
+}
+
+// A plan exercising every request source and serving mode, plus replicas, with heterogeneous
+// per-task cost, so parallel execution actually interleaves completions out of plan order.
 ExperimentPlan MixedPlan() {
   ExperimentPlan plan(/*plan_seed=*/7);
   plan.AddOffline("fMoE", TinyOptions(), {"kind=offline"});
   plan.AddOffline("MoE-Infinity", TinyOptions(), {"kind=offline"});
-  plan.AddOnline("fMoE", TinyOptions(), TinyTrace(), 8, {"kind=online"});
+  plan.Add(TraceTask("fMoE", 8));
   ExperimentOptions big = TinyOptions();
   big.test_requests = 12;
   plan.AddOffline("DeepSpeed-Inference", big, {"kind=offline"});
-  SchedulerOptions sched;
-  sched.max_batch_size = 2;
-  plan.AddScheduled("fMoE", TinyOptions(), TinyTrace(), 8, sched, {"kind=scheduled"});
+  ExperimentTask scheduled = TraceTask("fMoE", 8);
+  scheduled.serving = Serving::kContinuous;
+  scheduled.scheduler.max_batch_size = 2;
+  plan.Add(scheduled);
+  ExperimentTask cluster = TraceTask("fMoE", 8);
+  cluster.options.replicas = 2;
+  cluster.options.router_policy = RouterPolicy::kSemanticAffinity;
+  plan.Add(cluster);
+  plan.Add({.system = "ProMoE",
+            .options = TinyOptions(),
+            .source = RequestSource::kRequests,
+            .requests = TraceGenerator(TinyTrace(), TinyOptions().dataset, 3).Generate(6)});
   return plan;
 }
 
@@ -54,11 +73,11 @@ TEST(ExperimentPlanTest, AddReturnsDeclarationOrderIndices) {
   ExperimentPlan plan;
   EXPECT_TRUE(plan.empty());
   EXPECT_EQ(plan.AddOffline("fMoE", TinyOptions()), 0u);
-  EXPECT_EQ(plan.AddOnline("fMoE", TinyOptions(), TinyTrace(), 4), 1u);
+  EXPECT_EQ(plan.Add(TraceTask("fMoE", 4)), 1u);
   EXPECT_EQ(plan.AddOffline("ProMoE", TinyOptions()), 2u);
   EXPECT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan.tasks()[0].mode, ExperimentMode::kOffline);
-  EXPECT_EQ(plan.tasks()[1].mode, ExperimentMode::kOnline);
+  EXPECT_EQ(plan.tasks()[0].source, RequestSource::kSplit);
+  EXPECT_EQ(plan.tasks()[1].source, RequestSource::kTrace);
   EXPECT_EQ(plan.tasks()[2].system, "ProMoE");
 }
 
@@ -183,9 +202,11 @@ TEST(RunnerTest, RunTaskMatchesDirectHarnessCalls) {
   ExperimentTask task;
   task.system = "fMoE";
   task.options = TinyOptions();
-  const ExperimentResult via_runner = RunTask(task);
-  const ExperimentResult direct = RunOffline("fMoE", TinyOptions());
+  TraceRecorder recorder;
+  const ExperimentResult via_runner = RunTask(task, &recorder);
+  const ExperimentResult direct = RunExperiment(task);
   ExpectBitwiseEqual(via_runner, direct);
+  EXPECT_FALSE(recorder.events().empty());
 }
 
 TEST(RunnerTest, ProgressCallbackFiresOncePerTask) {

@@ -86,8 +86,11 @@ TEST(PlanReportJsonTest, EmitsOneEntryPerTaskInPlanOrder) {
   options.model = TinyTestConfig();
   options.seed = 5;
   plan.AddOffline("fMoE", options, {"model=tiny", "system=fMoE"});
-  TraceProfile trace;
-  plan.AddOnline("MoE-Infinity", options, trace, 4, {"system=MoE-Infinity"});
+  plan.Add({.system = "MoE-Infinity",
+            .options = options,
+            .source = RequestSource::kTrace,
+            .request_count = 4,
+            .tags = {"system=MoE-Infinity"}});
 
   std::ostringstream out;
   WritePlanReportJson(plan, {SampleResult(), SampleResult()}, /*include_latencies=*/false, out);

@@ -98,6 +98,23 @@ TEST(TraceIoTest, NegativeValuesFail) {
   EXPECT_NE(read.error.find("out-of-range"), std::string::npos);
 }
 
+// strtod accepts nan/inf and an int field silently narrows a wider count: 4294967297 would
+// load as 1 and 2147483648 as a negative count. Each row here must be rejected on its line.
+TEST(TraceIoTest, NonFiniteArrivalsAndOversizedCountsFail) {
+  for (const std::string row : {"0,nan,100,20", "0,inf,100,20", "0,-inf,100,20", "0,1e400,100,20",
+                                "0,0.0,4294967297,20", "0,0.0,2147483648,20",
+                                "0,0.0,100,4294967297", "0,0.0,100,9223372036854775808",
+                                "-1,0.0,100,20"}) {
+    SCOPED_TRACE(row);
+    std::stringstream stream("request_id,arrival_time_s,prompt_tokens,decode_tokens\n"
+                             "7,0.0,10,5\n" + row + "\n");
+    std::vector<Request> loaded;
+    const TraceIoResult read = ReadTraceCsv(stream, LmsysLikeProfile(), &loaded);
+    EXPECT_FALSE(read.ok);
+    EXPECT_EQ(read.error.rfind("line 3:", 0), 0u) << read.error;
+  }
+}
+
 TEST(TraceIoTest, EmptyInputFails) {
   std::stringstream stream("");
   std::vector<Request> loaded;

@@ -186,12 +186,12 @@ ExperimentOptions SmallOptions() {
 
 // Attaching a recorder must not move a single number: the tracer is a pure observer.
 TEST(TraceObserverTest, TracedRunMatchesUntracedBitwise) {
-  const ExperimentResult plain = RunOffline("fMoE", SmallOptions());
+  const ExperimentResult plain = RunExperiment({.system = "fMoE", .options = SmallOptions()});
 
   TraceRecorder recorder;
   ExperimentOptions traced_options = SmallOptions();
   traced_options.trace = &recorder;
-  const ExperimentResult traced = RunOffline("fMoE", traced_options);
+  const ExperimentResult traced = RunExperiment({.system = "fMoE", .options = traced_options});
 
   EXPECT_FALSE(recorder.events().empty());
   EXPECT_DOUBLE_EQ(traced.mean_ttft, plain.mean_ttft);
@@ -211,7 +211,7 @@ TEST(TraceObserverTest, StallAttributionEqualsDemandStall) {
   TraceRecorder recorder;
   ExperimentOptions options = SmallOptions();
   options.trace = &recorder;
-  const ExperimentResult result = RunOffline("fMoE", options);
+  const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
 
   const StallAttribution& stall = recorder.stall();
   EXPECT_GT(stall.total_misses, 0u);
@@ -226,7 +226,8 @@ TEST(TraceObserverTest, BlockingLoadsDoNotInflateAttribution) {
   TraceRecorder recorder;
   ExperimentOptions options = SmallOptions();
   options.trace = &recorder;
-  const ExperimentResult result = RunOffline("Mixtral-Offloading", options);
+  const ExperimentResult result = RunExperiment(
+      {.system = "Mixtral-Offloading", .options = options});
 
   EXPECT_GT(recorder.CountEvents(TracePhase::kSpan, "blocking-load"), 0u);
   EXPECT_DOUBLE_EQ(recorder.stall().total_seconds, result.breakdown.demand_stall);
