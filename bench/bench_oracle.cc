@@ -13,17 +13,22 @@
 // The process exit code asserts exactly that (the CI bench-smoke contract): fMoE must score
 // >= fMoE-LRU in % of clairvoyant optimum at every cache size, else exit 2.
 //
-// Usage: bench_oracle [--small] [--json PATH]
+// Usage: bench_oracle [--small] [--json PATH] [--jobs N]
 //   --small      CI smoke configuration: fewer requests.
 //   --json PATH  Also write the results as JSON to PATH (the BENCH_oracle.json format).
+//   --jobs N     Worker threads for the plan runner (0 = one per hardware thread); output is
+//                byte-identical for any value.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/harness/experiment.h"
+#include "src/harness/plan.h"
 #include "src/harness/report.h"
+#include "src/harness/runner.h"
 #include "src/moe/model_config.h"
 #include "src/oracle/oracle.h"
 #include "src/util/table.h"
@@ -36,7 +41,7 @@ constexpr double kCacheFractions[] = {0.12, 0.22, 0.32};
 struct Cell {
   std::string system;
   double cache_fraction = 0.0;
-  ExperimentResult result;
+  ExperimentResult result{};
 };
 
 ExperimentOptions BaseOptions(bool small) {
@@ -80,20 +85,24 @@ void WriteJson(const std::vector<Cell>& cells, bool small, std::ostream& out) {
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
+int Run(bool small, const std::string& json_path, int jobs) {
   const std::vector<std::string> systems{"fMoE", "fMoE-LRU"};
 
+  ExperimentPlan plan;
   std::vector<Cell> cells;
   for (const double fraction : kCacheFractions) {
     for (const std::string& system : systems) {
-      Cell cell;
-      cell.system = system;
-      cell.cache_fraction = fraction;
+      cells.push_back({.system = system, .cache_fraction = fraction});
       ExperimentOptions options = BaseOptions(small);
       options.cache_fraction = fraction;
-      cell.result = RunExperiment({.system = system, .options = options});
-      cells.push_back(std::move(cell));
+      plan.Add({.system = system, .options = options});
     }
+  }
+  RunnerOptions runner;
+  runner.jobs = jobs;
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i].result = results[i];
   }
 
   AsciiTable table({"cache", "system", "% of optimum", "miss gap", "stall gap", "hit %",
@@ -145,15 +154,18 @@ int Run(bool small, const std::string& json_path) {
 int main(int argc, char** argv) {
   bool small = false;
   std::string json_path;
+  int jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      jobs = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: bench_oracle [--small] [--json PATH]\n");
+      std::fprintf(stderr, "usage: bench_oracle [--small] [--json PATH] [--jobs N]\n");
       return 1;
     }
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(small, json_path, jobs);
 }

@@ -10,16 +10,21 @@
 // over the fast host link instead of the slow NVMe link), with the largest win at the lowest
 // NVMe bandwidth; at least one three-tier cell must beat its two-tier baseline strictly.
 //
-// Usage: bench_tiering [--small] [--json PATH]
+// Usage: bench_tiering [--small] [--json PATH] [--jobs N]
 //   --small      CI smoke configuration: one bandwidth, two capacities.
 //   --json PATH  Also write the results as JSON to PATH (the BENCH_tiering.json format).
+//   --jobs N     Worker threads for the plan runner (0 = one per hardware thread); output is
+//                byte-identical for any value.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/harness/experiment.h"
+#include "src/harness/plan.h"
+#include "src/harness/runner.h"
 #include "src/moe/model_config.h"
 #include "src/util/table.h"
 #include "src/workload/workload.h"
@@ -32,7 +37,7 @@ constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 struct Cell {
   double host_gb = 0.0;
   double nvme_gbps = 0.0;
-  ExperimentResult result;
+  ExperimentResult result{};
 };
 
 ExperimentOptions BaseOptions(double host_gb, double nvme_gbps) {
@@ -84,7 +89,7 @@ void WriteJson(const std::vector<Cell>& cells, const ExperimentOptions& sample,
   out << "  ]\n}\n";
 }
 
-int Run(bool small, const std::string& json_path) {
+int Run(bool small, const std::string& json_path, int jobs) {
   std::vector<double> host_gbs = {0.0, 0.05, 0.1, 0.2};
   std::vector<double> nvme_gbps_values = {2.0, 3.5, 7.0};
   if (small) {
@@ -92,15 +97,19 @@ int Run(bool small, const std::string& json_path) {
     nvme_gbps_values = {3.5};
   }
 
+  ExperimentPlan plan;
   std::vector<Cell> cells;
   for (const double gbps : nvme_gbps_values) {
     for (const double host_gb : host_gbs) {
-      Cell cell;
-      cell.host_gb = host_gb;
-      cell.nvme_gbps = gbps;
-      cell.result = RunExperiment({.system = "fMoE", .options = BaseOptions(host_gb, gbps)});
-      cells.push_back(std::move(cell));
+      cells.push_back({.host_gb = host_gb, .nvme_gbps = gbps});
+      plan.Add({.system = "fMoE", .options = BaseOptions(host_gb, gbps)});
     }
+  }
+  RunnerOptions runner;
+  runner.jobs = jobs;
+  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i].result = results[i];
   }
 
   AsciiTable table({"nvme GB/s", "host GiB", "stall ms", "TPOT ms", "hit %", "host hits",
@@ -154,15 +163,18 @@ int Run(bool small, const std::string& json_path) {
 int main(int argc, char** argv) {
   bool small = false;
   std::string json_path;
+  int jobs = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      jobs = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: bench_tiering [--small] [--json PATH]\n");
+      std::fprintf(stderr, "usage: bench_tiering [--small] [--json PATH] [--jobs N]\n");
       return 1;
     }
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(small, json_path, jobs);
 }

@@ -27,20 +27,25 @@ TieredExpertStore::TieredExpertStore(uint64_t gpu_capacity_bytes, const Eviction
     : config_(config),
       host_policy_(MakeEvictionPolicy(config.host_policy)),
       gpu_(gpu_capacity_bytes, gpu_policy),
-      host_(config.enabled() ? config.host_capacity_bytes : 0, host_policy_.get()),
+      host_(config.nvme_backing ? config.host_capacity_bytes : 0, host_policy_.get()),
       nvme_link_(config.nvme_link) {
   nvme_link_.set_completion_callback(
       [this](uint64_t tag, double completion) { OnNvmeScheduled(tag, completion); });
 }
 
-void TieredExpertStore::set_trace(TraceRecorder* trace, int host_track, int nvme_track) {
+void TieredExpertStore::RegisterTrace(TraceRecorder* trace, const std::string& track_prefix) {
+  if (!config_.nvme_backing) {
+    return;
+  }
   trace_ = trace;
-  host_track_ = host_track;
-  nvme_track_ = nvme_track;
-  nvme_link_.set_trace(trace, nvme_track);
+  host_track_ = trace->RegisterTrack(track_prefix + "host_pool");
+  nvme_link_.set_trace(trace, trace->RegisterTrack(track_prefix + "nvme/link"));
 }
 
 double TieredExpertStore::HostAvailableAt(uint64_t key, double now) const {
+  if (!config_.nvme_backing) {
+    return now;
+  }
   const ConstEntryRef entry = host_.Find(key);
   if (!entry || entry.prefetch_pending()) {
     return now;
@@ -48,14 +53,19 @@ double TieredExpertStore::HostAvailableAt(uint64_t key, double now) const {
   return std::max(now, entry.ready_at());
 }
 
-double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source) {
+double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double now,
+                                         StallTier* source) {
+  if (!config_.nvme_backing) {
+    *source = StallTier::kHost;  // The infinite host pool always holds the bytes.
+    return now;
+  }
   nvme_link_.Tick(now);  // Land any staging that has started before routing.
   EntryRef entry = host_.Find(key);
   if (entry && !entry.prefetch_pending()) {
     // Host hit: the copy is committed (possibly still in flight from an earlier staging; the
     // GPU hop then starts when it lands).
     ++stats_.host_hits;
-    *source = Tier::kHost;
+    *source = StallTier::kHost;
     const double available = std::max(now, entry.ready_at());
     host_.Touch(key, now);
     TraceMove("host-hit", key, bytes, now);
@@ -72,7 +82,7 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
   }
   const double ready = nvme_link_.DemandLoad(now, bytes);
   ++stats_.nvme_hits;
-  *source = Tier::kNvme;
+  *source = StallTier::kNvme;
   if (entry) {
     // Host-backed staging entry adopts the demand completion.
     entry.set_ready_at(ready);
@@ -111,6 +121,10 @@ TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64
                                                             double now, double probability,
                                                             double* earliest,
                                                             uint64_t* stage_tag) {
+  if (!config_.nvme_backing) {
+    *earliest = now;
+    return FillRoute::kFromHost;
+  }
   nvme_link_.Tick(now);
   EntryRef entry = host_.Find(key);
   if (entry && !entry.prefetch_pending()) {
@@ -137,7 +151,7 @@ TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64
 
 uint64_t TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now,
                                         double probability) {
-  if (!enabled() || config_.host_capacity_bytes == 0) {
+  if (!config_.nvme_backing || config_.host_capacity_bytes == 0 || gpu_.Contains(key)) {
     return 0;
   }
   nvme_link_.Tick(now);
@@ -218,7 +232,7 @@ void TieredExpertStore::EraseStage(uint64_t tag, uint64_t key) {
 }
 
 void TieredExpertStore::DemoteGpuVictim(const CacheEntry& victim, double now) {
-  if (!enabled()) {
+  if (!config_.nvme_backing) {
     return;
   }
   if (config_.host_capacity_bytes == 0 || host_.Contains(victim.key)) {

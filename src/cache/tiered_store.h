@@ -19,8 +19,11 @@
 //   * spill    host→NVMe: host-pool evictions under pressure simply drop the copy — NVMe
 //     always holds the master, so a clean spill costs no transfer.
 //
-// With `nvme_backing == false` (the default TierConfig) the store is disabled: the engine
-// replays the legacy two-tier GPU↔host path bit-identically and none of this machinery runs.
+// The engine calls the store on every fill, with or without NVMe backing. Without it (the
+// default TierConfig) the host pool is the infinite home of every expert and the store answers
+// as that world's host hit: every fill is kFromHost at `now`, every demand is served host-side
+// at `now`, and staging, demotion, ticking and decay do nothing. It checks `nvme_backing`
+// before touching the host pool or the NVMe link, so the two-tier path costs one branch.
 #ifndef FMOE_SRC_CACHE_TIERED_STORE_H_
 #define FMOE_SRC_CACHE_TIERED_STORE_H_
 
@@ -34,14 +37,16 @@
 #include "src/cache/eviction_policy.h"
 #include "src/cache/expert_cache.h"
 #include "src/memsim/link.h"
+#include "src/obs/control_signals.h"
 
 namespace fmoe {
 
 class TraceRecorder;
 
 struct TierConfig {
-  // Master switch: experts' off-GPU home is NVMe instead of an infinite host pool. False
-  // replays the legacy two-tier path bit-identically regardless of the other knobs.
+  // Experts' off-GPU home is NVMe instead of an infinite host pool. False leaves the
+  // host-pool, NVMe-link and direct-path knobs below inert (the store serves every fill from
+  // host at `now`); only kv_bytes_per_token acts in both worlds.
   bool nvme_backing = false;
   // Host-RAM staging pool budget. 0 with nvme_backing gives a two-tier GPU↔NVMe hierarchy
   // (the bench baseline); > 0 inserts the host tier in between.
@@ -56,8 +61,6 @@ struct TierConfig {
   // KV-cache pressure: bytes of GPU memory reserved per in-flight token, shrinking the
   // effective GPU expert budget as sequence length grows (paper Table 1).
   double kv_bytes_per_token = 0.0;
-
-  bool enabled() const { return nvme_backing; }
 };
 
 struct TierStats {
@@ -78,7 +81,6 @@ struct TierStats {
 
 class TieredExpertStore {
  public:
-  enum class Tier { kHost, kNvme };
   enum class FillRoute {
     kFromHost,  // Host copy available: enqueue the GPU hop with the returned earliest start.
     kChained,   // NVMe→host staging in flight/queued: enqueue the GPU hop when it lands.
@@ -100,19 +102,19 @@ class TieredExpertStore {
   const ExpertCache& host() const { return host_; }
   PcieLink& nvme_link() { return nvme_link_; }
   const PcieLink& nvme_link() const { return nvme_link_; }
-  bool enabled() const { return config_.enabled(); }
-  const TierConfig& config() const { return config_; }
   const TierStats& stats() const { return stats_; }
   size_t pending_stage_count() const { return stage_by_tag_.size(); }
 
   void set_stage_scheduled_hook(StageScheduledHook hook) { stage_hook_ = std::move(hook); }
   void set_direct_scheduled_hook(TransferScheduledHook hook) { direct_hook_ = std::move(hook); }
 
-  // Attaches a trace recorder (pure observer). Tier movements become instants on
-  // `host_track`; the NVMe link's transfers go on `nvme_track`. The host ExpertCache itself
-  // is deliberately NOT traced: its evictions are spills of copies whose GPU fate is already
-  // tracked, and they are recorded here as "spill-to-nvme" tier instants instead.
-  void set_trace(TraceRecorder* trace, int host_track, int nvme_track);
+  // Attaches a trace recorder (pure observer). With NVMe backing it registers two tracks,
+  // `<prefix>host_pool` for tier movements and `<prefix>nvme/link` for the NVMe link's
+  // transfers; without it nothing is registered. Call it after every other track of the
+  // engine so tier tracks never shift their ids. The host ExpertCache itself is deliberately
+  // NOT traced: its evictions are spills of copies whose GPU fate is already tracked, and they
+  // are recorded here as "spill-to-nvme" tier instants instead.
+  void RegisterTrace(TraceRecorder* trace, const std::string& track_prefix);
 
   // --- Residency queries. ---
   bool HostResident(uint64_t key) const { return host_.Contains(key); }
@@ -121,39 +123,54 @@ class TieredExpertStore {
   double HostAvailableAt(uint64_t key, double now) const;
 
   // --- Demand path. ---
+  // True when a demand miss of `key` must take the explicit NVMe→GPU direct path
+  // (DirectDemand) rather than go through the host side (EnsureHostSide).
+  bool DemandGoesDirect(uint64_t key) const {
+    return config_.nvme_backing && config_.allow_direct_nvme_gpu && !host_.Contains(key);
+  }
+
   // Makes `key`'s bytes available host-side and returns the earliest instant the host→GPU
-  // hop may start. Ready host copy: returns immediately (host hit). Queued staging: promoted
-  // to an NVMe demand load. Absent: NVMe demand load through a host bounce buffer (a host
-  // pool entry is kept when it fits). `*source` reports which tier served the bytes.
-  double EnsureHostSide(uint64_t key, uint64_t bytes, double now, Tier* source);
+  // hop may start. Ready host copy (always, without NVMe backing): returns `now` or the
+  // copy's landing instant (host hit). Queued staging: promoted to an NVMe demand load.
+  // Absent: NVMe demand load through a host bounce buffer (a host pool entry is kept when it
+  // fits). `*source` reports which tier served the bytes.
+  double EnsureHostSide(uint64_t key, uint64_t bytes, double now, StallTier* source);
 
   // Demand load over the explicit NVMe→GPU direct path; returns the completion time.
   double DirectDemand(uint64_t key, uint64_t bytes, double now);
 
   // --- Prefetch path. ---
-  // Plans the source side of a GPU prefetch issued at `now`. kFromHost sets `*earliest`;
-  // kChained sets `*stage_tag` (an NVMe→host staging the caller should chain on — newly
-  // issued here if none was in flight). kDirect asks the caller to run the transfer on the
-  // NVMe link. Never fails: when the host pool cannot hold the staging copy the transfer
-  // still runs through a transient host bounce buffer.
+  // Plans the source side of a GPU prefetch issued at `now`. kFromHost sets `*earliest`
+  // (`now` without NVMe backing); kChained sets `*stage_tag` (an NVMe→host staging the
+  // caller should chain on — newly issued here if none was in flight). kDirect asks the
+  // caller to run the transfer on the NVMe link. Never fails: when the host pool cannot hold
+  // the staging copy the transfer still runs through a transient host bounce buffer.
   FillRoute PlanGpuFill(uint64_t key, uint64_t bytes, double now, double probability,
                         double* earliest, uint64_t* stage_tag);
 
   // Speculative NVMe→host staging (map-store candidate scoring, no GPU hop attached).
-  // Returns the stage tag, or 0 when nothing was issued (already host-side, no host pool, or
-  // the pool cannot take the copy).
+  // Returns the stage tag, or 0 when nothing was issued (no NVMe backing, already GPU- or
+  // host-side, no host pool, or the pool cannot take the copy).
   uint64_t StageToHost(uint64_t key, uint64_t bytes, double now, double probability);
 
   // --- Demotion. ---
   // Re-homes a GPU eviction victim carrying real resident data (caller filters out pending
-  // prefetch victims, which have no bytes to save).
+  // prefetch victims, which have no bytes to save). No-op without NVMe backing.
   void DemoteGpuVictim(const CacheEntry& victim, double now);
 
   // Ages host-pool hit frequencies (mirrors the engine's per-iteration GPU cache decay).
-  void DecayHostFrequencies(double factor) { host_.DecayFrequencies(factor); }
+  void DecayHostFrequencies(double factor) {
+    if (config_.nvme_backing) {
+      host_.DecayFrequencies(factor);
+    }
+  }
 
   // Advances the NVMe link, landing staged transfers and firing chain hooks.
-  void Tick(double now) { nvme_link_.Tick(now); }
+  void Tick(double now) {
+    if (config_.nvme_backing) {
+      nvme_link_.Tick(now);
+    }
+  }
 
   // Cross-checks stage bookkeeping against host-pool state (fuzz/property tests).
   bool BookkeepingConsistent() const;

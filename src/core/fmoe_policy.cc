@@ -11,9 +11,7 @@ FmoePolicy::FmoePolicy(const ModelConfig& model, int prefetch_distance,
       prefetch_distance_(prefetch_distance),
       options_(options),
       store_(model, options.store_capacity, prefetch_distance, options.store_dedup,
-             options.map_precision, options.map_shards, kSemanticRouterSeed) {
-  store_.set_search_threads(options.search_threads);
-}
+             options.map_precision, options.map_shards, kSemanticRouterSeed) {}
 
 HybridMatcher& FmoePolicy::MatcherForSlot(int slot) {
   FMOE_CHECK(slot >= 0);
@@ -94,18 +92,6 @@ void FmoePolicy::ApplyCommand(EngineHandle& engine, const PrefetchCommand& comma
 
 void FmoePolicy::PublishMatchWork(EngineHandle& engine, double cost_seconds, uint64_t topic,
                                   std::vector<PrefetchCommand> commands) {
-  if (!options_.publish_deferred) {
-    // Legacy inline path: charge the async work and apply immediately, bypassing the pub-sub
-    // pipeline entirely.
-    if (cost_seconds > 0.0) {
-      engine.AddAsyncWork(OverheadCategory::kMapMatching, cost_seconds);
-    }
-    for (const PrefetchCommand& command : commands) {
-      ApplyCommand(engine, command, options_.low_precision_threshold,
-                   options_.low_precision_fraction, options_.host_stage_candidates);
-    }
-    return;
-  }
   DeferredApply apply;
   if (!commands.empty()) {
     apply = [commands = std::move(commands),
@@ -188,8 +174,8 @@ void FmoePolicy::OnIterationEnd(EngineHandle& engine, const IterationContext& co
   record.iteration = context.iteration;
   // The store mutates immediately (matcher state cannot diverge across latency scales); the
   // published job carries the update's modeled cost, occupying the background worker.
-  const int target_shard = store_.RouteEmbedding(record.embedding);
-  const uint64_t flops = store_.Insert(std::move(record));
+  int target_shard = 0;
+  const uint64_t flops = store_.Insert(std::move(record), &target_shard);
   // Per-shard pseudo-threads (§5i): only sharded stores register tracks, so default-run
   // (1-shard) traces keep the exact track table the §5f goldens pin.
   if (TraceRecorder* trace = engine.trace(); trace != nullptr && store_.num_shards() > 1) {
@@ -207,10 +193,6 @@ void FmoePolicy::OnIterationEnd(EngineHandle& engine, const IterationContext& co
   }
   const double cost =
       static_cast<double>(flops) / options_.search_throughput_flops;
-  if (!options_.publish_deferred) {
-    engine.AddAsyncWork(OverheadCategory::kMapUpdate, cost);
-    return;
-  }
   engine.PublishDeferred(OverheadCategory::kMapUpdate, PublishMode::kAsync, cost,
                          /*topic=*/0, /*apply=*/nullptr);
 }

@@ -37,26 +37,17 @@ struct FmoeOptions {
   PrefetcherOptions prefetcher;
   // Models the async matcher's speed (store searches run on spare CPU/GPU cycles).
   double search_throughput_flops = 50.0e9;
-  // Threads the store's full scans (semantic search, one-shot trajectory search, RDY dedup)
-  // may use. Results are bit-identical for any value; 1 (default) avoids thread spawn
-  // overhead for the paper's store sizes.
-  int search_threads = 1;
   // Synchronous context-collection cost per MoE layer per iteration (gathering L gate
   // distributions + the iteration embedding; Fig. 15 keeps the total in the low ms).
   double context_collection_sec_per_layer = 1.0e-5;
-  // Route match/prefetch work through EngineHandle::PublishDeferred (the pub-sub pipeline,
-  // §4.3): prefetch commands apply when the modeled matcher worker finishes the job. false
-  // uses the legacy inline path (AddAsyncWork + immediate commands), which equals the
-  // published path at matcher_latency_scale == 0 — the replay-equivalence test pins this.
-  bool publish_deferred = true;
   // Mixed-precision extension (Hobbit-style): prefetch candidates whose matched probability
   // is below this threshold at reduced precision (half the bytes). 0 disables the feature
   // (the paper's lossless default).
   double low_precision_threshold = 0.0;
   double low_precision_fraction = 0.5;
-  // Tier-aware prefetch (multi-tier engines only): the top N scored-but-not-selected map
-  // candidates per matched layer are speculatively staged NVMe→host, so a later match (or a
-  // demand miss) pays only the host→GPU hop. 0 disables; two-tier engines no-op regardless.
+  // Tier-aware prefetch: the top N scored-but-not-selected map candidates per matched layer
+  // are offered for speculative NVMe→host staging, so a later match (or a demand miss) pays
+  // only the host→GPU hop. 0 disables; the engine's store declines them without NVMe backing.
   int host_stage_candidates = 0;
   // Semantic-cluster shards of the map store (DESIGN.md §5i): the capacity splits across
   // shards keyed by a consistent hash of the record embedding, each with its own generation,
@@ -122,8 +113,7 @@ class FmoePolicy : public OffloadPolicy {
   static void ApplyCommand(EngineHandle& engine, const PrefetchCommand& command,
                            double low_precision_threshold, double low_precision_fraction,
                            int host_stage_candidates);
-  // Publishes `cost_seconds` of matcher work carrying `commands` on `topic` (kAsync), or runs
-  // the legacy inline path when publish_deferred is off.
+  // Publishes `cost_seconds` of matcher work carrying `commands` on `topic` (kAsync).
   void PublishMatchWork(EngineHandle& engine, double cost_seconds, uint64_t topic,
                         std::vector<PrefetchCommand> commands);
 

@@ -1,10 +1,12 @@
 #include "src/core/map_store_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -53,6 +55,23 @@ bool WriteFloats(std::ostream& out, std::span<const float> values) {
   out.write(reinterpret_cast<const char*>(values.data()),
             static_cast<std::streamsize>(values.size() * sizeof(float)));
   return static_cast<bool>(out);
+}
+
+// Bytes between the read position and the end of `in` (the position is restored), or
+// nullopt when the stream cannot seek. Every count a file declares is checked against this
+// before anything is allocated for it.
+std::optional<uint64_t> BytesLeft(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  const std::istream::pos_type end = in.seekg(0, std::ios::end).tellg();
+  if (here == std::istream::pos_type(-1) || end == std::istream::pos_type(-1) ||
+      !in.seekg(here)) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(end - here);
+}
+
+bool AllFinite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
 }
 
 bool ReadFloats(std::istream& in, size_t count, std::vector<double>* values) {
@@ -226,6 +245,23 @@ static StoreIoResult ParseStoreStream(std::istream& in, const ModelConfig& model
 
   const size_t map_size = static_cast<size_t>(model.num_layers) *
                           static_cast<size_t>(model.experts_per_layer);
+  // Bound every declared count by the bytes actually present, so a corrupt header fails here
+  // instead of asking the allocator for the declared size.
+  const std::optional<uint64_t> left = BytesLeft(in);
+  if (!left) {
+    return StoreIoResult::Failure("stream does not support seeking");
+  }
+  const uint64_t table_bytes =
+      file_precision == MapPrecision::kInt8 ? 2 * map_size * sizeof(float) : 0;
+  const uint64_t record_bytes = sizeof(uint64_t) + sizeof(int32_t) +
+                                map_size * MapValueBytes(file_precision) +
+                                static_cast<uint64_t>(header.embedding_dim) * sizeof(float);
+  if (table_bytes > *left || header.record_count > (*left - table_bytes) / record_bytes) {
+    return StoreIoResult::Failure("truncated file: header declares " +
+                                  std::to_string(header.record_count) +
+                                  " records but only " + std::to_string(*left) +
+                                  " bytes follow it");
+  }
   StoreIoResult result;
   result.bytes = sizeof(header);
   std::vector<float> scales;
@@ -240,9 +276,9 @@ static StoreIoResult ParseStoreStream(std::istream& in, const ModelConfig& model
       return StoreIoResult::Failure("truncated quantization offset table");
     }
     offsets.assign(table.begin(), table.end());
-    result.bytes += 2 * map_size * sizeof(float);
+    result.bytes += table_bytes;
   }
-  // Parse into the staging buffer first so a truncated file leaves the store untouched.
+  // Parse into the staging buffer first so a bad file leaves the store untouched.
   // Records decode to exact doubles and re-insert through the normal path, so the destination
   // store's own precision — which may differ from the file's — re-quantizes as needed.
   staged->reserve(staged->size() + static_cast<size_t>(header.record_count));
@@ -255,6 +291,9 @@ static StoreIoResult ParseStoreStream(std::istream& in, const ModelConfig& model
         !ReadMapRow(in, file_precision, map_size, scales, offsets, &map_values) ||
         !ReadFloats(in, header.embedding_dim, &embedding)) {
       return StoreIoResult::Failure("truncated file at record " + std::to_string(i));
+    }
+    if (!AllFinite(map_values) || !AllFinite(embedding)) {
+      return StoreIoResult::Failure("non-finite value in record " + std::to_string(i));
     }
     StoredIteration record;
     record.request_id = request_id;
@@ -320,39 +359,35 @@ StoreIoResult LoadStore(std::istream& in, ShardedMapStore* store) {
     return StoreIoResult::Failure("failed to read magic");
   }
   StoreIoResult total;
+  std::vector<StoredIteration> staged;
   if (std::memcmp(magic, kShardMagic, sizeof(magic)) == 0) {
     uint32_t shard_count = 0;
     if (!ReadPod(in, &shard_count)) {
       return StoreIoResult::Failure("truncated shard count");
     }
     total.bytes = sizeof(magic) + sizeof(shard_count);
-    // Each blob's records re-insert through the destination's semantic routing, so the file's
-    // shard count and the store's need not match — resharding happens on load.
+    // Every blob parses before anything is inserted, so a bad last blob leaves the store
+    // untouched. The records re-insert through the destination's semantic routing, so the
+    // file's shard count and the store's need not match — resharding happens on load.
     for (uint32_t s = 0; s < shard_count; ++s) {
-      std::vector<StoredIteration> staged;
       const StoreIoResult blob = ParseStoreStream(in, store->model(), &staged);
       if (!blob.ok) {
         return blob;
       }
-      for (StoredIteration& record : staged) {
-        store->Insert(std::move(record));
-        ++total.records;
-      }
       total.bytes += blob.bytes;
     }
-    return total;
-  }
-  // Legacy single-store file: rewind and parse it whole (ParseStoreStream re-validates the
-  // legacy magic), then insert through routing.
-  in.clear();
-  in.seekg(start);
-  if (!in) {
-    return StoreIoResult::Failure("stream does not support rewinding");
-  }
-  std::vector<StoredIteration> staged;
-  total = ParseStoreStream(in, store->model(), &staged);
-  if (!total.ok) {
-    return total;
+  } else {
+    // Legacy single-store file: rewind and parse it whole (ParseStoreStream re-validates the
+    // legacy magic).
+    in.clear();
+    in.seekg(start);
+    if (!in) {
+      return StoreIoResult::Failure("stream does not support rewinding");
+    }
+    total = ParseStoreStream(in, store->model(), &staged);
+    if (!total.ok) {
+      return total;
+    }
   }
   for (StoredIteration& record : staged) {
     store->Insert(std::move(record));

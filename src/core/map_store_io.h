@@ -12,8 +12,9 @@
 // store may load a file of any precision: the destination's own precision re-quantizes as
 // needed (e.g. loading an fp32 history file into an int8 store quantizes it offline).
 //
-// Loading validates the header against the target store's model shape and refuses mismatches;
-// it never trusts record counts beyond the stream's actual content.
+// Loading validates the header against the target store's model shape and refuses mismatches.
+// It never trusts a declared count beyond the stream's actual content (so it needs a seekable
+// stream) and refuses non-finite values.
 #ifndef FMOE_SRC_CORE_MAP_STORE_IO_H_
 #define FMOE_SRC_CORE_MAP_STORE_IO_H_
 

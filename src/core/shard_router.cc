@@ -71,6 +71,9 @@ int SemanticShardRouter::RouteSignature(uint64_t signature) const {
 }
 
 int SemanticShardRouter::Route(std::span<const double> embedding) const {
+  if (targets_ == 1) {
+    return 0;  // One target: the signature would only be thrown away.
+  }
   return RouteSignature(Signature(embedding));
 }
 

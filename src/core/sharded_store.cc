@@ -79,12 +79,12 @@ size_t ShardedMapStore::MemoryBytesAtCapacity(int embedding_dim) const {
   return total;
 }
 
-int ShardedMapStore::RouteEmbedding(std::span<const double> embedding) const {
-  return router_.Route(embedding);
-}
-
-uint64_t ShardedMapStore::Insert(StoredIteration record) {
-  const size_t target = static_cast<size_t>(router_.Route(record.embedding));
+uint64_t ShardedMapStore::Insert(StoredIteration record, int* shard) {
+  const int routed = router_.Route(record.embedding);
+  if (shard != nullptr) {
+    *shard = routed;
+  }
+  const size_t target = static_cast<size_t>(routed);
   std::unique_lock<std::shared_mutex> lock(*mutexes_[target]);
   return shards_[target]->Insert(std::move(record));
 }

@@ -61,12 +61,10 @@ class ShardedMapStore {
   int map_dim() const { return shards_.front()->map_dim(); }
   const SemanticShardRouter& router() const { return router_; }
 
-  // Shard the router assigns to `embedding` (what Insert will use).
-  int RouteEmbedding(std::span<const double> embedding) const;
-
   // Routes the record to its semantic shard and inserts there (dedup, if any, is per shard —
-  // the RDY pass only scans the target shard). Returns the flops performed.
-  uint64_t Insert(StoredIteration record);
+  // the RDY pass only scans the target shard). Returns the flops performed; `*shard`, when
+  // given, receives the target shard.
+  uint64_t Insert(StoredIteration record, int* shard = nullptr);
 
   // Best record across all shards; result.shard/result.index locate it. Shards are scanned
   // in ascending id and reduced with strict `>`, so ties go to the lowest (shard, index).

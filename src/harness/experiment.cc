@@ -59,7 +59,7 @@ void FillResult(const std::string& system_name, const ExperimentOptions& options
   result->cache_used_gb = static_cast<double>(engine.cache().used_bytes()) / kGiB;
   result->request_latencies = metrics.EndToEndLatencies();
   result->low_precision_share = metrics.LowPrecisionShare();
-  if (engine.store().enabled()) {
+  if (engine.config().tier.nvme_backing) {
     result->tier_enabled = true;
     result->tier = engine.store().stats();
     result->host_capacity_gb =

@@ -64,8 +64,9 @@ struct ExperimentOptions {
   // Expert Map Store column precision (fMoE-family systems; DESIGN.md §5g). fp16/int8 trade
   // tolerance-bounded match accuracy for a 2×/4× smaller Fig. 16 store footprint.
   MapPrecision map_precision = MapPrecision::kFp32;
-  // Multi-tier store configuration (DESIGN.md §5h). The default (nvme_backing off) replays
-  // the legacy two-tier GPU↔host path bit-identically.
+  // Multi-tier store configuration (DESIGN.md §5h). With nvme_backing off (the default) the
+  // infinite host pool is every expert's home and the other tier knobs, except
+  // kv_bytes_per_token, are inert.
   TierConfig tier;
   // fMoE-family tier-aware prefetch: top-N scored-but-not-selected map candidates staged
   // NVMe→host per matched layer. No-op unless tier.nvme_backing is on.
@@ -118,7 +119,7 @@ struct ExperimentResult {
   SchedulerStats scheduler_stats;
   uint64_t scheduled_tokens = 0;
   // Multi-tier runs only (options.tier.nvme_backing): tier movement counters plus host-pool
-  // occupancy. tier_enabled is false on legacy two-tier runs (the report omits the block).
+  // occupancy. tier_enabled is false without NVMe backing (the report omits the block).
   bool tier_enabled = false;
   TierStats tier;
   double host_capacity_gb = 0.0;

@@ -44,9 +44,10 @@ struct SystemSpec {
 // `map_precision` selects the Expert Map Store's column storage precision (DESIGN.md §5g);
 // it applies to every fMoE-family system and is a no-op for the baselines, which keep no map
 // store (EAM tracks hit counts, speculative/on-demand keep no history at all).
-// `host_stage_candidates` enables tier-aware prefetch for fMoE-family systems on multi-tier
-// engines: the top N scored-but-not-selected map candidates per matched layer are staged
-// NVMe→host speculatively. No-op (bit-identical) on two-tier engines and for baselines.
+// `host_stage_candidates` enables tier-aware prefetch for fMoE-family systems: the top N
+// scored-but-not-selected map candidates per matched layer are offered to the engine's tiered
+// store for NVMe→host staging. The store declines them without NVMe backing or a host pool,
+// and baselines never offer any.
 // `map_shards` splits the Expert Map Store into semantic-cluster shards (DESIGN.md §5i);
 // 1 (the default) is byte-identical to the unsharded store and is a no-op for baselines.
 SystemSpec MakeSystem(const std::string& name, const ModelConfig& model, int prefetch_distance,

@@ -58,20 +58,14 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
       cluster_.device(dev).set_trace(trace_, trace_->RegisterTrack(prefix + "/mem"),
                                      prefix + ".used_bytes");
     }
-    if (store_.enabled()) {
-      // Tier pseudo-threads are appended strictly after every legacy track, in a fixed order,
-      // so track ids — and the traced-vs-untraced bitwise goldens — never shift with config.
-      const int host_track = trace_->RegisterTrack(tp + "host_pool");
-      const int nvme_track = trace_->RegisterTrack(tp + "nvme/link");
-      store_.set_trace(trace_, host_track, nvme_track);
-    }
+    // Tier tracks (NVMe-backed stores only) come strictly after every device track, so track
+    // ids — and the traced-vs-untraced bitwise goldens — never shift with config.
+    store_.RegisterTrace(trace_, tp);
   }
   // Wire prefetch-start events from every device link back into cache bookkeeping.
   for (int dev = 0; dev < cluster_.device_count(); ++dev) {
     cluster_.device(dev).link().set_completion_callback(
-        [this, dev](uint64_t tag, double completion) {
-          OnTransferScheduled(dev, tag, completion);
-        });
+        [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   }
   // Tier chain plumbing: when an NVMe→host staging transfer is scheduled its chained
   // host→GPU hop (if any) is enqueued with the staging completion as earliest start; direct
@@ -91,9 +85,8 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
     LinkFor(chain.key).EnqueuePrefetchAfter(clock_.now(), chain.gpu_tag, chain.bytes,
                                             std::max(clock_.now(), completion));
   });
-  store_.set_direct_scheduled_hook([this](uint64_t tag, double completion) {
-    OnTransferScheduled(/*device=*/-1, tag, completion);
-  });
+  store_.set_direct_scheduled_hook(
+      [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   if (config_.preload_all) {
     PreloadAllExperts();
   }
@@ -102,21 +95,14 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
 void ServingEngine::PreloadAllExperts() {
   for (int l = 0; l < model_.num_layers; ++l) {
     for (int j = 0; j < model_.experts_per_layer; ++j) {
-      const uint64_t key = KeyOf(ExpertId{l, j});
-      CacheEntry entry;
-      entry.key = key;
-      entry.bytes = model_.expert_bytes;
-      entry.ready_at = 0.0;
-      entry.prefetch_pending = false;
-      const bool inserted = cache_.Insert(entry, 0.0, nullptr);
-      FMOE_CHECK_MSG(inserted, "preload_all requires the cache to fit every expert");
-      const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
-      FMOE_CHECK_MSG(allocated, "preload_all exceeds GPU memory");
+      InsertDemandFill(KeyOf(ExpertId{l, j}), /*ready=*/0.0, /*probability=*/0.0);
     }
   }
+  FMOE_CHECK_MSG(cache_.size() == static_cast<size_t>(model_.total_experts()),
+                 "preload_all requires the cache to fit every expert");
 }
 
-void ServingEngine::OnTransferScheduled(int /*device*/, uint64_t tag, double completion) {
+void ServingEngine::OnTransferScheduled(uint64_t tag, double completion) {
   direct_tags_.erase(tag);  // No-op except for scheduled NVMe→GPU direct transfers.
   const auto it = transfer_key_by_tag_.find(tag);
   if (it == transfer_key_by_tag_.end()) {
@@ -147,7 +133,7 @@ void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
         LinkFor(victim.key).CancelQueuedPrefetch(victim.transfer_tag);
       }
       transfer_key_by_tag_.erase(victim.transfer_tag);
-    } else if (store_.enabled()) {
+    } else {
       // The victim carried real resident data: demote GPU→host (spilling host→NVMe under
       // pressure happens inside the store).
       store_.DemoteGpuVictim(victim, clock_.now());
@@ -204,25 +190,21 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
     prefetch_pinned_by_layer_[static_cast<size_t>(id.layer)].push_back(key);
     ++prefetch_pinned_count_;
   }
-  if (!store_.enabled()) {
-    device.link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
-  } else {
-    double earliest = clock_.now();
-    uint64_t stage_tag = 0;
-    switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
-                               &stage_tag)) {
-      case TieredExpertStore::FillRoute::kFromHost:
-        device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
-        break;
-      case TieredExpertStore::FillRoute::kChained:
-        chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
-        stage_tag_by_gpu_tag_[tag] = stage_tag;
-        break;
-      case TieredExpertStore::FillRoute::kDirect:
-        direct_tags_.insert(tag);
-        store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
-        break;
-    }
+  double earliest = clock_.now();
+  uint64_t stage_tag = 0;
+  switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
+                             &stage_tag)) {
+    case TieredExpertStore::FillRoute::kFromHost:
+      device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
+      break;
+    case TieredExpertStore::FillRoute::kChained:
+      chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
+      stage_tag_by_gpu_tag_[tag] = stage_tag;
+      break;
+    case TieredExpertStore::FillRoute::kDirect:
+      direct_tags_.insert(tag);
+      store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
+      break;
   }
   stall_machine_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
@@ -246,61 +228,59 @@ void ServingEngine::ReleasePrefetchPins(int completed_layer) {
 }
 
 void ServingEngine::StageToHostAsync(ExpertId id, double probability) {
-  if (!store_.enabled()) {
-    return;
-  }
-  const uint64_t key = KeyOf(id);
-  if (cache_.Contains(key)) {
-    return;  // Already GPU-resident; nothing to stage.
-  }
-  store_.StageToHost(key, model_.expert_bytes, clock_.now(), probability);
+  store_.StageToHost(KeyOf(id), model_.expert_bytes, clock_.now(), probability);
 }
 
-double ServingEngine::DemandFillMiss(uint64_t key, PcieLink& link,
-                                     TieredExpertStore::Tier* source) {
-  if (!store_.enabled()) {
-    return link.DemandLoad(clock_.now(), model_.expert_bytes);
-  }
-  if (store_.config().allow_direct_nvme_gpu && !store_.HostResident(key)) {
-    *source = TieredExpertStore::Tier::kNvme;
+double ServingEngine::DemandFillMiss(uint64_t key, PcieLink& link, StallTier* source) {
+  if (store_.DemandGoesDirect(key)) {
+    *source = StallTier::kNvme;
     return store_.DirectDemand(key, model_.expert_bytes, clock_.now());
   }
   const double earliest = store_.EnsureHostSide(key, model_.expert_bytes, clock_.now(), source);
   return link.DemandLoadAfter(clock_.now(), earliest, model_.expert_bytes);
 }
 
+void ServingEngine::InsertDemandFill(uint64_t key, double ready, double probability) {
+  // If the entry cannot be cached (budget smaller than one expert, or everything pinned) the
+  // weights stream through a transient buffer — the transfer cost is identical either way.
+  CacheEntry fresh;
+  fresh.key = key;
+  fresh.bytes = model_.expert_bytes;
+  fresh.ready_at = ready;
+  fresh.prefetch_pending = false;
+  fresh.probability = probability;
+  fresh.last_access = clock_.now();
+  if (cache_.Insert(fresh, clock_.now(), &evicted_scratch_)) {
+    CleanupEvicted(evicted_scratch_);
+    const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
+    FMOE_CHECK(allocated);
+  }
+}
+
 double ServingEngine::PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
-                                            TieredExpertStore::Tier* source) {
+                                            StallTier* source) {
   const uint64_t tag = entry.transfer_tag();
+  transfer_key_by_tag_.erase(tag);
+  entry.set_transfer_tag(0);
   double ready = 0.0;
-  if (!store_.enabled()) {
-    link.CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    ready = link.DemandLoad(clock_.now(), entry.bytes());
-  } else if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
-             chain_it != stage_tag_by_gpu_tag_.end()) {
+  if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
+      chain_it != stage_tag_by_gpu_tag_.end()) {
     // The host→GPU hop was never enqueued (still chained behind NVMe→host staging): resolve
     // the whole chain on demand — promote the staging NVMe-side, then demand the PCIe hop
     // behind the staged data's availability.
     chains_by_stage_tag_.erase(chain_it->second);
     stage_tag_by_gpu_tag_.erase(chain_it);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
     const double earliest = store_.EnsureHostSide(key, entry.bytes(), clock_.now(), source);
     ready = link.DemandLoadAfter(clock_.now(), earliest, entry.bytes());
   } else if (direct_tags_.erase(tag) > 0) {
     store_.nvme_link().CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
-    *source = TieredExpertStore::Tier::kNvme;
+    *source = StallTier::kNvme;
     ready = store_.DirectDemand(key, entry.bytes(), clock_.now());
   } else {
     // The hop is already queued on the PCIe link: promote it there, honouring the host
-    // copy's availability (it may still be landing from an earlier staging).
+    // copy's availability (it may still be landing from an earlier staging; without NVMe
+    // backing it is available `now`).
     link.CancelQueuedPrefetch(tag);
-    transfer_key_by_tag_.erase(tag);
-    entry.set_transfer_tag(0);
     ready = link.DemandLoadAfter(clock_.now(), store_.HostAvailableAt(key, clock_.now()),
                                  entry.bytes());
   }
@@ -313,12 +293,10 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
   link.Tick(clock_.now());
-  if (store_.enabled()) {
-    store_.Tick(clock_.now());
-  }
+  store_.Tick(clock_.now());
   EntryRef entry = cache_.Find(key);
   double ready = 0.0;
-  TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+  StallTier source = StallTier::kHost;
   if (entry && !entry.prefetch_pending()) {
     if (entry.ready_at() <= clock_.now()) {
       entry.set_probability(probability);
@@ -330,18 +308,7 @@ void ServingEngine::BlockingLoad(ExpertId id, double probability) {
     ready = PromoteQueuedToDemand(entry, key, link, &source);
   } else {
     ready = DemandFillMiss(key, link, &source);
-    CacheEntry fresh;
-    fresh.key = key;
-    fresh.bytes = model_.expert_bytes;
-    fresh.ready_at = ready;
-    fresh.prefetch_pending = false;
-    fresh.probability = probability;
-    fresh.last_access = clock_.now();
-    if (cache_.Insert(fresh, clock_.now(), &evicted_scratch_)) {
-      CleanupEvicted(evicted_scratch_);
-      const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
-      FMOE_CHECK(allocated);
-    }
+    InsertDemandFill(key, ready, probability);
   }
   const double stall = std::max(0.0, ready - clock_.now());
   // Blocking loads are policy-initiated (speculative baselines): the wait is charged to sync
@@ -500,9 +467,7 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
   const uint64_t key = KeyOf(id);
   PcieLink& link = LinkFor(key);
   link.Tick(clock_.now());
-  if (store_.enabled()) {
-    store_.Tick(clock_.now());  // Land stagings first: a chained hop may become a plain wait.
-  }
+  store_.Tick(clock_.now());  // Land stagings first: a chained hop may become a plain wait.
 
   ExpertJob job;
   job.id = id;
@@ -511,21 +476,9 @@ ServingEngine::ExpertJob ServingEngine::IssueExpert(ExpertId id, int tokens_rout
 
   EntryRef entry = cache_.Find(key);
   if (!entry) {
-    // Full miss: on-demand load. If the entry cannot be cached (budget smaller than one
-    // expert, or everything pinned) the weights are streamed through a transient buffer —
-    // the transfer cost is identical either way.
+    // Full miss: on-demand load.
     job.ready_at = DemandFillMiss(key, link, &job.tier_source);
-    CacheEntry fresh;
-    fresh.key = key;
-    fresh.bytes = model_.expert_bytes;
-    fresh.ready_at = job.ready_at;
-    fresh.prefetch_pending = false;
-    fresh.last_access = clock_.now();
-    if (cache_.Insert(fresh, clock_.now(), &evicted_scratch_)) {
-      CleanupEvicted(evicted_scratch_);
-      const bool allocated = cluster_.DeviceFor(key).Allocate(model_.expert_bytes);
-      FMOE_CHECK(allocated);
-    }
+    InsertDemandFill(key, job.ready_at, /*probability=*/0.0);
     job.stall_class = stall_machine_.ClassifyMiss(key, MissKind::kNeverResident);
   } else if (entry.prefetch_pending()) {
     // Prefetch was enqueued but its transfer never started: promote to a demand load, which
@@ -559,12 +512,10 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   metrics_.breakdown().demand_stall += stall;
   // One attribution charge per served miss, in serve order — the identical addition sequence
   // as the demand_stall accumulation above, so the totals stay bitwise equal. The tier
-  // attribution partitions the same misses by serving tier (legacy runs: all host-side).
-  const StallTier tier =
-      job.tier_source == TieredExpertStore::Tier::kNvme ? StallTier::kNvme : StallTier::kHost;
+  // attribution partitions the same misses by serving tier (without NVMe: all host-side).
   if (!job.hit) {
     stall_machine_.AttributeStall(job.stall_class, stall);
-    stall_machine_.AttributeStallTier(tier, stall);
+    stall_machine_.AttributeStallTier(job.tier_source, stall);
     if (signals_ != nullptr) {
       signals_->RecordStall(job.stall_class, stall, clock_.now());
     }
@@ -582,7 +533,7 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
   if (trace_ != nullptr) {
     if (!job.hit) {
       trace_->AttributeStall(job.stall_class, stall);
-      trace_->AttributeStallTier(tier, stall);
+      trace_->AttributeStallTier(job.tier_source, stall);
       if (stall > 0.0) {
         trace_->Span(trace_engine_track_, "demand-stall", "stall", stall_start, job.ready_at,
                      {TraceArg::Int("layer", job.id.layer), TraceArg::Int("expert", job.id.expert),
@@ -734,10 +685,8 @@ double ServingEngine::RunIteration(std::vector<BatchMember*>& active) {
   }
   ReleasePrefetchPins(-1);
   cache_.DecayFrequencies(config_.frequency_decay);
-  if (store_.enabled()) {
-    store_.DecayHostFrequencies(config_.frequency_decay);
-    store_.Tick(clock_.now());
-  }
+  store_.DecayHostFrequencies(config_.frequency_decay);
+  store_.Tick(clock_.now());
   cluster_.Tick(clock_.now());
 
   const double duration = clock_.now() - iteration_start;

@@ -57,8 +57,8 @@ struct EngineConfig {
   double matcher_latency_scale = 0.0;
   // Bound on pending deferred jobs; past it the oldest pending job is dropped.
   int matcher_queue_depth = 32;
-  // Multi-tier offload hierarchy (GPU ↔ host pool ↔ NVMe). Disabled by default; the default
-  // TierConfig replays the legacy two-tier path bit-identically (DESIGN.md §5h).
+  // Multi-tier offload hierarchy (GPU ↔ host pool ↔ NVMe). Without nvme_backing (the
+  // default) the store serves every fill from the infinite host pool (DESIGN.md §5h).
   TierConfig tier;
   // Optional virtual-time trace recorder (not owned; must outlive the engine). A pure
   // observer: attaching one changes no timing, metrics, or policy decisions (DESIGN.md §5f).
@@ -213,21 +213,24 @@ class ServingEngine : public EngineHandle {
     bool resident = false;
     // Stall cause classified at issue time (meaningless for hits).
     StallClass stall_class = StallClass::kNeverPrefetched;
-    // Tier that served a miss's bytes (legacy two-tier misses read "host").
-    TieredExpertStore::Tier tier_source = TieredExpertStore::Tier::kHost;
+    // Tier that served a miss's bytes (always host without NVMe backing).
+    StallTier tier_source = StallTier::kHost;
   };
   ExpertJob IssueExpert(ExpertId id, int tokens_routed);
   void CompleteExpert(const ExpertJob& job);
 
-  // Demand-path helpers shared by IssueExpert and BlockingLoad. Legacy two-tier behaviour
-  // (store disabled) is bit-identical to the pre-tiering code; tiered mode routes the fill
-  // through host staging / the NVMe link and reports the serving tier.
-  double DemandFillMiss(uint64_t key, PcieLink& link, TieredExpertStore::Tier* source);
+  // Demand-path helpers shared by IssueExpert and BlockingLoad. The store says where the
+  // bytes come from and from when (host at `now` without NVMe backing; host staging or the
+  // NVMe link with it); these run the GPU hop and report the serving tier.
+  double DemandFillMiss(uint64_t key, PcieLink& link, StallTier* source);
   double PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
-                               TieredExpertStore::Tier* source);
+                               StallTier* source);
+  // Caches an expert whose bytes land at `ready` (skipped when it cannot fit), evicting
+  // and freeing device memory for whatever it displaces.
+  void InsertDemandFill(uint64_t key, double ready, double probability);
 
   // Completion bookkeeping shared by prefetch start events.
-  void OnTransferScheduled(int device, uint64_t tag, double completion_time);
+  void OnTransferScheduled(uint64_t tag, double completion_time);
 
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
@@ -290,7 +293,7 @@ class ServingEngine : public EngineHandle {
   // tag -> flat expert key for prefetch-start callbacks.
   std::unordered_map<uint64_t, uint64_t> transfer_key_by_tag_;
 
-  // Tiered-store chain bookkeeping (empty while the store is disabled). A chained prefetch
+  // Tiered-store chain bookkeeping (empty without NVMe backing). A chained prefetch
   // is a GPU fill whose host→GPU hop waits for an NVMe→host staging transfer: the hop is
   // enqueued by the stage-scheduled hook once the staging's completion instant is known.
   struct ChainedPrefetch {

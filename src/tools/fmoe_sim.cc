@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
                   "decisions, 1 = modeled matcher speed)");
   flags.AddInt("matcher-queue-depth", 32, "pending deferred-job bound (oldest dropped past it)");
   flags.AddBool("nvme-backing", false,
-                "experts' off-GPU home is NVMe (multi-tier store; DESIGN.md 5h). Off replays "
-                "the legacy two-tier GPU<->host path bit-identically");
+                "experts' off-GPU home is NVMe (multi-tier store; DESIGN.md 5h). Off, host RAM "
+                "holds every expert and the host-pool, NVMe and direct-path flags are inert");
   flags.AddDouble("host-capacity-gb", 0.0,
                   "host-RAM staging pool budget in GiB (implies --nvme-backing when > 0; 0 "
                   "with --nvme-backing = two-tier GPU<->NVMe)");

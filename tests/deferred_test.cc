@@ -130,11 +130,10 @@ EngineConfig ReplayEngineConfig(const ModelConfig& model, double matcher_latency
   return config;
 }
 
-RunMetrics RunFmoe(bool publish_deferred, double matcher_latency_scale) {
+RunMetrics RunFmoe(double matcher_latency_scale) {
   const ModelConfig model = TinyTestConfig();
   FmoeOptions options;
   options.store_capacity = 64;
-  options.publish_deferred = publish_deferred;
   FmoePolicy policy(model, /*prefetch_distance=*/2, options);
   ServingEngine engine(model, ReplayEngineConfig(model, matcher_latency_scale), &policy);
   for (const Request& request : ReplayWorkload(8)) {
@@ -169,26 +168,20 @@ void ExpectBitIdentical(const RunMetrics& a, const RunMetrics& b) {
 }
 
 TEST(ReplayEquivalenceTest, ScaleZeroReplaysLegacySynchronousEngine) {
-  const RunMetrics legacy = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/0.0);
-  const RunMetrics published = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/0.0);
-  ExpectBitIdentical(legacy, published);
-  // The pipeline accounted the publishes even though every job applied inline.
+  const RunMetrics published = RunFmoe(/*matcher_latency_scale=*/0.0);
+  // The pipeline accounted the publishes even though every job applied inline, at its
+  // publish instant: nothing waits, nothing is superseded or dropped.
   EXPECT_GT(published.deferred().published, 0u);
+  EXPECT_EQ(published.deferred().applied, published.deferred().published);
   EXPECT_EQ(published.deferred().Pending(), 0u);
   EXPECT_EQ(published.deferred().superseded, 0u);
   EXPECT_EQ(published.deferred().dropped, 0u);
-}
-
-TEST(ReplayEquivalenceTest, LegacyPathIgnoresMatcherLatencyScale) {
-  // The legacy policy never publishes, so the worker model cannot touch it.
-  const RunMetrics a = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/0.0);
-  const RunMetrics b = RunFmoe(/*publish_deferred=*/false, /*matcher_latency_scale=*/100.0);
-  ExpectBitIdentical(a, b);
+  EXPECT_EQ(published.deferred().queue_wait_s, 0.0);
 }
 
 TEST(ReplayEquivalenceTest, SlowMatcherDegradesHitRateNotCriticalPath) {
-  const RunMetrics fast = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/0.0);
-  const RunMetrics slow = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/1e6);
+  const RunMetrics fast = RunFmoe(/*matcher_latency_scale=*/0.0);
+  const RunMetrics slow = RunFmoe(/*matcher_latency_scale=*/1e6);
   // A matcher this slow starves prefetch lead time: strictly fewer hits...
   EXPECT_LT(slow.HitRate(), fast.HitRate());
   // ...but identical synchronous overhead — deferral never blocks the forward pass.
@@ -197,8 +190,8 @@ TEST(ReplayEquivalenceTest, SlowMatcherDegradesHitRateNotCriticalPath) {
 }
 
 TEST(ReplayEquivalenceTest, DeterministicAcrossIdenticalRuns) {
-  const RunMetrics a = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/3.5);
-  const RunMetrics b = RunFmoe(/*publish_deferred=*/true, /*matcher_latency_scale=*/3.5);
+  const RunMetrics a = RunFmoe(/*matcher_latency_scale=*/3.5);
+  const RunMetrics b = RunFmoe(/*matcher_latency_scale=*/3.5);
   ExpectBitIdentical(a, b);
   EXPECT_EQ(a.deferred().published, b.deferred().published);
   EXPECT_EQ(a.deferred().applied, b.deferred().applied);

@@ -1,11 +1,13 @@
 // Randomized model-checking tests: drive the expert cache and the PCIe link with long random
 // operation sequences and verify them against simple reference models / global invariants.
 #include <climits>
+#include <cstring>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "src/baselines/on_demand_policy.h"
 #include "src/cache/expert_cache.h"
 #include "src/core/fmoe_policy.h"
+#include "src/core/map_store_io.h"
+#include "src/core/sharded_store.h"
 #include "src/memsim/link.h"
 #include "src/serving/engine.h"
 #include "src/serving/scheduler.h"
@@ -473,6 +477,131 @@ TEST_P(TraceCsvFuzzTest, AcceptedParsesAreFiniteSortedAndExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceCsvFuzzTest, ::testing::Values(3u, 41u, 2718u, 99991u));
+
+// ---------------------------------------------------------------------------
+// Map-store loader under byte mutations: a valid 2-shard store file has bytes overwritten,
+// inserted and deleted, 32/64-bit counts spliced over its fields, and its tail cut off. Each
+// mutant loads into a store that already holds records. A rejected load must leave that store
+// exactly as it was (same records, same generations); an accepted one must leave a store
+// whose every record has the model's map shape and finite values, and that searches.
+
+class MapStoreFileFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+StoredIteration FuzzRecord(const ModelConfig& model, Rng& rng, uint64_t id) {
+  StoredIteration record;
+  record.request_id = id;
+  record.iteration = static_cast<int>(rng.NextBounded(16));
+  record.map = ExpertMap(model.num_layers, model.experts_per_layer);
+  for (int layer = 0; layer < model.num_layers; ++layer) {
+    std::vector<double> row(static_cast<size_t>(model.experts_per_layer));
+    for (double& p : row) {
+      p = rng.NextDouble();
+    }
+    record.map.SetLayer(layer, row);
+  }
+  record.embedding = {rng.NextUniform(-1, 1), rng.NextUniform(-1, 1), rng.NextUniform(-1, 1),
+                      rng.NextUniform(-1, 1)};
+  return record;
+}
+
+ShardedMapStore FuzzStore(const ModelConfig& model) {
+  return ShardedMapStore(model, 24, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 2,
+                         kSemanticRouterSeed);
+}
+
+TEST_P(MapStoreFileFuzzTest, RejectedLoadsLeaveStoreUntouchedAcceptedLoadsAreConsistent) {
+  const ModelConfig model = TinyTestConfig();
+  Rng rng(GetParam());
+  ShardedMapStore source = FuzzStore(model);
+  for (uint64_t id = 0; id < 10; ++id) {
+    source.Insert(FuzzRecord(model, rng, id));
+  }
+  std::ostringstream saved;
+  ASSERT_TRUE(SaveStore(source, saved).ok);
+  const std::string base = saved.str();
+  const std::vector<uint64_t> counts = {0, 1, 7, 0xFFFFFFFFull, 0xF0000000ull, 1ull << 58,
+                                        ~0ull};
+
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string bytes = base;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int e = 0; e < edits && !bytes.empty(); ++e) {
+      const size_t at = rng.NextBounded(bytes.size());
+      switch (rng.NextBounded(5)) {
+        case 0:
+          bytes[at] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 1:
+          bytes.erase(at, 1 + rng.NextBounded(8));
+          break;
+        case 2:
+          bytes.insert(at, 1 + rng.NextBounded(8), static_cast<char>(rng.NextBounded(256)));
+          break;
+        case 3: {  // A count spliced over whatever field sits at `at`.
+          const uint64_t count = counts[rng.NextBounded(counts.size())];
+          const size_t width = rng.NextBool(0.5) ? 4 : 8;
+          if (at + width <= bytes.size()) {
+            std::memcpy(bytes.data() + at, &count, width);
+          }
+          break;
+        }
+        default:
+          bytes.resize(at);
+          break;
+      }
+    }
+
+    ShardedMapStore store = FuzzStore(model);
+    Rng prefill_rng(7);
+    for (uint64_t id = 100; id < 103; ++id) {
+      store.Insert(FuzzRecord(model, prefill_rng, id));
+    }
+    std::vector<uint64_t> before;
+    for (size_t i = 0; i < store.size(); ++i) {
+      before.push_back(store.Get(i).request_id);
+    }
+    const uint64_t generations = store.generation(0) + store.generation(1);
+
+    std::istringstream in(bytes);
+    const StoreIoResult io = LoadStore(in, &store);
+    if (!io.ok) {
+      ++rejected;
+      ASSERT_FALSE(io.error.empty());
+      ASSERT_EQ(store.size(), before.size());
+      ASSERT_EQ(store.generation(0) + store.generation(1), generations);
+      for (size_t i = 0; i < before.size(); ++i) {
+        ASSERT_EQ(store.Get(i).request_id, before[i]);
+      }
+      continue;
+    }
+    ++accepted;
+    ASSERT_LE(store.size(), store.capacity());
+    ASSERT_GE(store.size(), before.size());
+    for (size_t i = 0; i < store.size(); ++i) {
+      const StoredIteration& record = store.Get(i);
+      ASSERT_EQ(record.map.Flat().size(),
+                static_cast<size_t>(model.num_layers * model.experts_per_layer));
+      for (const double p : record.map.Flat()) {
+        ASSERT_TRUE(std::isfinite(p));
+      }
+      for (const double x : record.embedding) {
+        ASSERT_TRUE(std::isfinite(x));
+      }
+    }
+    const std::vector<double> query = {0.5, -0.25, 0.125, 1.0};
+    ASSERT_TRUE(store.SemanticSearch(query).found);
+    const std::span<const double> prefix = store.Get(size_t{0}).map.Flat().first(
+        static_cast<size_t>(model.experts_per_layer));
+    ASSERT_TRUE(store.TrajectorySearch(prefix, 1).found);
+  }
+  // Both outcomes must actually occur, or the fuzz is testing nothing.
+  EXPECT_GT(accepted, 30u);
+  EXPECT_GT(rejected, 30u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MapStoreFileFuzzTest, ::testing::Values(5u, 67u, 1409u));
 
 }  // namespace
 }  // namespace fmoe

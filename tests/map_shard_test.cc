@@ -123,12 +123,14 @@ TEST(ShardInvarianceTest, InsertBumpsOnlyRoutedShardGeneration) {
   Rng rng(3);
   for (int i = 0; i < 64; ++i) {
     StoredIteration record = RandomRecord(model, rng, static_cast<uint64_t>(i));
-    const int target = store.RouteEmbedding(record.embedding);
+    const int target = store.router().Route(record.embedding);
     std::vector<uint64_t> before(static_cast<size_t>(shards));
     for (int s = 0; s < shards; ++s) {
       before[static_cast<size_t>(s)] = store.generation(s);
     }
-    store.Insert(std::move(record));
+    int reported = -1;
+    store.Insert(std::move(record), &reported);
+    EXPECT_EQ(reported, target);  // Insert reports the shard it routed to.
     for (int s = 0; s < shards; ++s) {
       if (s == target) {
         EXPECT_GT(store.generation(s), before[static_cast<size_t>(s)]);
@@ -163,7 +165,7 @@ TEST(ShardInvarianceTest, InsertRebuildsOnlyRoutedShardSession) {
   // count must cover only the routed shard's rebuild (records_in_shard * 2 * prefix) plus
   // the incremental extension (all records * 2 * J) — NOT a full-store rebuild.
   StoredIteration extra = RandomRecord(model, rng, 1000);
-  const int target = store.RouteEmbedding(extra.embedding);
+  const int target = store.router().Route(extra.embedding);
   const size_t target_size_before = store.shard(target).size();
   store.Insert(std::move(extra));
   const size_t target_size = store.shard(target).size();
@@ -328,7 +330,7 @@ TEST(ShardedStoreIoTest, RoundTripsAcrossShardCounts) {
       // embedding maps to.
       for (int s = 0; s < dest.num_shards(); ++s) {
         for (size_t i = 0; i < dest.shard(s).size(); ++i) {
-          EXPECT_EQ(s, dest.RouteEmbedding(dest.Get(s, i).embedding));
+          EXPECT_EQ(s, dest.router().Route(dest.Get(s, i).embedding));
         }
       }
     }

@@ -1,5 +1,7 @@
 #include "src/core/map_store_io.h"
 
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -153,6 +155,83 @@ TEST(MapStoreIoTest, InconsistentEmbeddingDimensionsRejectedOnSave) {
   const StoreIoResult saved = SaveStore(store, stream);
   EXPECT_FALSE(saved.ok);
   EXPECT_NE(saved.error.find("inconsistent embedding"), std::string::npos);
+}
+
+// A 2-shard store with records in both shards, saved in the multi-shard wrapper format: the
+// shard magic and a uint32 shard count, then one single-store blob per shard.
+std::string TwoShardFile() {
+  ShardedMapStore store(Tiny(), 32, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 2,
+                        kSemanticRouterSeed);
+  for (uint64_t id = 0; id < 12; ++id) {
+    store.Insert(MakeRecord(id, 1));
+  }
+  EXPECT_GT(store.shard(0).size(), 0u);
+  EXPECT_GT(store.shard(1).size(), 0u);
+  std::stringstream stream;
+  EXPECT_TRUE(SaveStore(store, stream).ok);
+  return stream.str();
+}
+
+// Byte offsets of the first blob's header fields inside TwoShardFile(): 12 wrapper bytes,
+// then magic[8], num_layers, experts_per_layer, embedding_dim, map_precision (uint32 each),
+// record_count (uint64).
+constexpr size_t kFirstBlob = 12;
+constexpr size_t kEmbeddingDimAt = kFirstBlob + 16;
+constexpr size_t kRecordCountAt = kFirstBlob + 24;
+
+template <typename T>
+void Poke(std::string* bytes, size_t at, T value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(T));
+}
+
+// Loads `bytes` into a 2-shard store that already holds one record, and checks that the
+// failed load left it exactly as it was.
+void ExpectRejectedAndUntouched(const std::string& bytes) {
+  ShardedMapStore store(Tiny(), 32, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 2,
+                        kSemanticRouterSeed);
+  store.Insert(MakeRecord(99, 1));
+  const uint64_t generations = store.generation(0) + store.generation(1);
+  std::istringstream in(bytes);
+  const StoreIoResult read = LoadStore(in, &store);
+  EXPECT_FALSE(read.ok);
+  EXPECT_FALSE(read.error.empty());
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.generation(0) + store.generation(1), generations);
+  EXPECT_EQ(store.Get(size_t{0}).request_id, 99u);
+}
+
+TEST(MapStoreIoTest, HugeRecordCountFailsWithoutAllocating) {
+  std::string bytes = TwoShardFile();
+  Poke<uint64_t>(&bytes, kRecordCountAt, uint64_t{1} << 58);
+  ExpectRejectedAndUntouched(bytes);
+}
+
+TEST(MapStoreIoTest, HugeEmbeddingDimFailsWithoutAllocating) {
+  std::string bytes = TwoShardFile();
+  Poke<uint32_t>(&bytes, kEmbeddingDimAt, 0xF0000000u);
+  ExpectRejectedAndUntouched(bytes);
+}
+
+TEST(MapStoreIoTest, TruncatedLastBlobLeavesShardedStoreUntouched) {
+  std::string bytes = TwoShardFile();
+  bytes.resize(bytes.size() - 10);  // Inside the last record of the second blob.
+  ExpectRejectedAndUntouched(bytes);
+}
+
+TEST(MapStoreIoTest, NonFiniteValueIsRejected) {
+  ExpertMapStore original(Tiny(), 4, 1);
+  original.Insert(MakeRecord(1, 1));
+  std::stringstream stream;
+  ASSERT_TRUE(SaveStore(original, stream).ok);
+  std::string bytes = stream.str();
+  // The last float of the file is the record's final embedding component.
+  Poke<float>(&bytes, bytes.size() - sizeof(float), std::numeric_limits<float>::quiet_NaN());
+  std::istringstream in(bytes);
+  ExpertMapStore store(Tiny(), 4, 1);
+  const StoreIoResult read = LoadStore(in, &store);
+  EXPECT_FALSE(read.ok);
+  EXPECT_NE(read.error.find("non-finite"), std::string::npos);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 }  // namespace

@@ -78,10 +78,10 @@ void RunSchedule(const FuzzConfig& fuzz) {
         break;
       }
       case 1: {  // Demand fill: the host side must produce the bytes somehow.
-        TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+        StallTier source = StallTier::kHost;
         const double ready = store.EnsureHostSide(key, kExpertBytes, now, &source);
         ASSERT_GE(ready, now) << "op " << op;
-        if (source == TieredExpertStore::Tier::kNvme) {
+        if (source == StallTier::kNvme) {
           ++ledger.demand_loads;
         }
         break;
@@ -211,17 +211,49 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic single-path checks that the fuzz could in principle miss.
 
 TEST(TieredStoreTest, DisabledStoreIsInert) {
+  // Without NVMe backing the host pool is every expert's infinite home: the store answers
+  // every question as a host hit at `now`, and the host-pool, direct-path and NVMe-link knobs
+  // stay inert even when set.
   TierConfig config;  // nvme_backing defaults off.
+  config.allow_direct_nvme_gpu = true;
+  config.host_capacity_bytes = 10 * kExpertBytes;
+  config.host_policy = "LFU";
   const std::unique_ptr<EvictionPolicy> policy = MakeEvictionPolicy("LRU");
   TieredExpertStore store(kGpuCapacity, policy.get(), config);
-  EXPECT_FALSE(store.enabled());
-  EXPECT_EQ(store.StageToHost(1, kExpertBytes, 0.0, 0.5), 0u);
+
+  const double now = 2.5;
+  store.Tick(now);
+  double earliest = -1.0;
+  uint64_t stage_tag = 7;
+  EXPECT_EQ(store.PlanGpuFill(1, kExpertBytes, now, 0.5, &earliest, &stage_tag),
+            TieredExpertStore::FillRoute::kFromHost);
+  EXPECT_EQ(earliest, now);
+  EXPECT_EQ(stage_tag, 7u);  // Untouched: nothing to chain on.
+  EXPECT_FALSE(store.DemandGoesDirect(1));
+  StallTier source = StallTier::kNvme;
+  EXPECT_EQ(store.EnsureHostSide(1, kExpertBytes, now, &source), now);
+  EXPECT_EQ(source, StallTier::kHost);
+  EXPECT_EQ(store.HostAvailableAt(1, now), now);
+  EXPECT_EQ(store.StageToHost(2, kExpertBytes, now, 0.5), 0u);
   CacheEntry victim;
-  victim.key = 1;
+  victim.key = 3;
   victim.bytes = kExpertBytes;
-  store.DemoteGpuVictim(victim, 0.0);
-  EXPECT_EQ(store.stats().demotions_to_host + store.stats().demotions_to_nvme, 0u);
+  victim.prefetch_pending = false;
+  store.DemoteGpuVictim(victim, now);
+  store.DecayHostFrequencies(0.5);
+  store.Tick(now + 1.0);
+
+  const TierStats& stats = store.stats();
+  EXPECT_EQ(stats.host_hits + stats.nvme_hits + stats.gpu_fills_from_host +
+                stats.gpu_fills_chained + stats.direct_loads + stats.stages_issued +
+                stats.stages_landed + stats.stage_promotions + stats.demotions_to_host +
+                stats.demotions_to_nvme + stats.host_spills,
+            0u);
+  const PcieLink& nvme = store.nvme_link();
+  EXPECT_EQ(nvme.demand_load_count() + nvme.prefetch_count() + nvme.queued_prefetch_count(), 0u);
   EXPECT_EQ(store.host().capacity_bytes(), 0u);
+  EXPECT_EQ(store.host().size(), 0u);
+  EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_TRUE(store.BookkeepingConsistent());
 }
 
@@ -239,9 +271,9 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
   EXPECT_EQ(store.pending_stage_count(), 1u);
 
   // Promote while the staging is still queued: the prefetch is cancelled, a demand load runs.
-  TieredExpertStore::Tier source = TieredExpertStore::Tier::kHost;
+  StallTier source = StallTier::kHost;
   const double ready = store.EnsureHostSide(7, kExpertBytes, 0.0, &source);
-  EXPECT_EQ(source, TieredExpertStore::Tier::kNvme);
+  EXPECT_EQ(source, StallTier::kNvme);
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_EQ(store.stats().stage_promotions, 1u);
   EXPECT_EQ(store.nvme_link().demand_load_count(), 2u);
