@@ -20,6 +20,15 @@ namespace fmoe {
 inline constexpr double kEvictionFrequencyFloor = 0.5;
 inline constexpr double kEvictionProbabilityFloor = 1e-4;
 
+// Where a pending GPU fill's transfer waits until it starts (DESIGN.md §5h). A queued
+// transfer is named by its flat expert key on every link, so the route is all the engine
+// needs to find and cancel it.
+enum class FillRoute : uint8_t {
+  kFromHost,  // Queued on the expert's device PCIe link (a host copy feeds it).
+  kChained,   // Waiting for the key's NVMe→host staging; the hop is queued when it starts.
+  kDirect,    // Queued on the store's NVMe link (explicit NVMe→GPU direct path).
+};
+
 // Bookkeeping the cache maintains per resident expert.
 struct CacheEntry {
   uint64_t key = 0;        // Flat expert index.
@@ -30,7 +39,7 @@ struct CacheEntry {
   double probability = 0.0;  // Activation probability from the matched expert map (fMoE).
   int pin_count = 0;       // Pinned entries (in use / in flight) are not evictable.
   bool prefetch_pending = true;  // True until the transfer has started on the link.
-  uint64_t transfer_tag = 0;     // Link-transfer tag of the pending prefetch (0 = none).
+  FillRoute fill_route = FillRoute::kFromHost;  // Meaningful only while prefetch_pending.
   bool reduced_precision = false;  // Weights resident at reduced precision (lossy extension).
 };
 

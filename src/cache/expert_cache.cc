@@ -131,7 +131,7 @@ CacheEntry ExpertCache::MaterializedEntry(uint32_t slot) const {
   entry.probability = prob_[slot];
   entry.pin_count = pin_count_[slot];
   entry.prefetch_pending = prefetch_pending_[slot] != 0;
-  entry.transfer_tag = transfer_tag_[slot];
+  entry.fill_route = fill_route_[slot];
   entry.reduced_precision = reduced_precision_[slot] != 0;
   return entry;
 }
@@ -325,9 +325,9 @@ uint32_t ExpertCache::AllocSlot() {
   epoch_.push_back(0);
   seq_.push_back(0);
   pin_count_.push_back(0);
-  transfer_tag_.push_back(0);
   occupied_flag_.push_back(0);
   prefetch_pending_.push_back(0);
+  fill_route_.push_back(FillRoute::kFromHost);
   reduced_precision_.push_back(0);
   gen_.push_back(0);
   freq_gen_.push_back(0);
@@ -345,9 +345,9 @@ void ExpertCache::InsertResident(const CacheEntry& entry, uint64_t seq) {
   epoch_[slot] = decay_epoch_;
   seq_[slot] = seq;
   pin_count_[slot] = entry.pin_count;
-  transfer_tag_[slot] = entry.transfer_tag;
   occupied_flag_[slot] = 1;
   prefetch_pending_[slot] = entry.prefetch_pending ? 1 : 0;
+  fill_route_[slot] = entry.fill_route;
   reduced_precision_[slot] = entry.reduced_precision ? 1 : 0;
   ++gen_[slot];
   ++freq_gen_[slot];

@@ -69,12 +69,12 @@ class EntryRef {
   double probability() const;
   int pin_count() const;
   bool prefetch_pending() const;
-  uint64_t transfer_tag() const;
+  FillRoute fill_route() const;
   bool reduced_precision() const;
 
   void set_ready_at(double t);
   void set_prefetch_pending(bool pending);
-  void set_transfer_tag(uint64_t tag);
+  void set_fill_route(FillRoute route);
   void set_probability(double probability);
 
  private:
@@ -98,7 +98,7 @@ class ConstEntryRef {
   double probability() const;
   int pin_count() const;
   bool prefetch_pending() const;
-  uint64_t transfer_tag() const;
+  FillRoute fill_route() const;
   bool reduced_precision() const;
 
  private:
@@ -256,9 +256,9 @@ class ExpertCache {
   std::vector<uint64_t> epoch_;  // Absolute decay epoch freq_ is materialized at.
   std::vector<uint64_t> seq_;    // Insertion sequence: larger = inserted later.
   std::vector<int> pin_count_;
-  std::vector<uint64_t> transfer_tag_;
   std::vector<uint8_t> occupied_flag_;
   std::vector<uint8_t> prefetch_pending_;
+  std::vector<FillRoute> fill_route_;
   std::vector<uint8_t> reduced_precision_;
   std::vector<uint32_t> gen_;       // Bumped by any score-relevant event; heap node validity.
   std::vector<uint32_t> freq_gen_;  // Bumped when the frequency trajectory changes; schedule validity.
@@ -302,7 +302,7 @@ inline int EntryRef::pin_count() const { return cache_->pin_count_[slot_]; }
 inline bool EntryRef::prefetch_pending() const {
   return cache_->prefetch_pending_[slot_] != 0;
 }
-inline uint64_t EntryRef::transfer_tag() const { return cache_->transfer_tag_[slot_]; }
+inline FillRoute EntryRef::fill_route() const { return cache_->fill_route_[slot_]; }
 inline bool EntryRef::reduced_precision() const {
   return cache_->reduced_precision_[slot_] != 0;
 }
@@ -310,7 +310,7 @@ inline void EntryRef::set_ready_at(double t) { cache_->ready_at_[slot_] = t; }
 inline void EntryRef::set_prefetch_pending(bool pending) {
   cache_->prefetch_pending_[slot_] = pending ? 1 : 0;
 }
-inline void EntryRef::set_transfer_tag(uint64_t tag) { cache_->transfer_tag_[slot_] = tag; }
+inline void EntryRef::set_fill_route(FillRoute route) { cache_->fill_route_[slot_] = route; }
 inline void EntryRef::set_probability(double probability) {
   cache_->SetProbability(cache_->key_[slot_], probability);
 }
@@ -327,7 +327,9 @@ inline int ConstEntryRef::pin_count() const { return cache_->pin_count_[slot_]; 
 inline bool ConstEntryRef::prefetch_pending() const {
   return cache_->prefetch_pending_[slot_] != 0;
 }
-inline uint64_t ConstEntryRef::transfer_tag() const { return cache_->transfer_tag_[slot_]; }
+inline FillRoute ConstEntryRef::fill_route() const {
+  return cache_->fill_route_[slot_];
+}
 inline bool ConstEntryRef::reduced_precision() const {
   return cache_->reduced_precision_[slot_] != 0;
 }

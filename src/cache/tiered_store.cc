@@ -30,7 +30,7 @@ TieredExpertStore::TieredExpertStore(uint64_t gpu_capacity_bytes, const Eviction
       host_(config.nvme_backing ? config.host_capacity_bytes : 0, host_policy_.get()),
       nvme_link_(config.nvme_link) {
   nvme_link_.set_completion_callback(
-      [this](uint64_t tag, double completion) { OnNvmeScheduled(tag, completion); });
+      [this](uint64_t key, double completion) { OnNvmeScheduled(key, completion); });
 }
 
 void TieredExpertStore::RegisterTrace(TraceRecorder* trace, const std::string& track_prefix) {
@@ -73,11 +73,8 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
   }
   // Any still-queued staging is promoted: cancel the queued NVMe prefetch and jump the NVMe
   // queue with a demand load (mirroring the GPU link's queued-promoted discipline).
-  const auto stage_it = stage_tag_by_key_.find(key);
-  if (stage_it != stage_tag_by_key_.end()) {
-    const uint64_t stage_tag = stage_it->second;
-    nvme_link_.CancelQueuedPrefetch(stage_tag);
-    EraseStage(stage_tag, key);
+  if (stages_.erase(key) > 0) {
+    nvme_link_.CancelQueuedPrefetch(key);
     ++stats_.stage_promotions;
   }
   const double ready = nvme_link_.DemandLoad(now, bytes);
@@ -87,7 +84,6 @@ double TieredExpertStore::EnsureHostSide(uint64_t key, uint64_t bytes, double no
     // Host-backed staging entry adopts the demand completion.
     entry.set_ready_at(ready);
     entry.set_prefetch_pending(false);
-    entry.set_transfer_tag(0);
     host_.Unpin(key);
     host_.Touch(key, now);
   } else {
@@ -117,10 +113,8 @@ double TieredExpertStore::DirectDemand(uint64_t key, uint64_t bytes, double now)
   return nvme_link_.DemandLoad(now, bytes);
 }
 
-TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64_t bytes,
-                                                            double now, double probability,
-                                                            double* earliest,
-                                                            uint64_t* stage_tag) {
+FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64_t bytes, double now,
+                                         double probability, double* earliest) {
   if (!config_.nvme_backing) {
     *earliest = now;
     return FillRoute::kFromHost;
@@ -133,42 +127,40 @@ TieredExpertStore::FillRoute TieredExpertStore::PlanGpuFill(uint64_t key, uint64
     host_.Touch(key, now);
     return FillRoute::kFromHost;
   }
-  const auto stage_it = stage_tag_by_key_.find(key);
-  if (stage_it != stage_tag_by_key_.end()) {
-    // Chain onto the staging already in flight for this key.
+  if (stages_.contains(key)) {
+    // Chain onto the staging already queued for this key.
     ++stats_.gpu_fills_chained;
-    *stage_tag = stage_it->second;
     return FillRoute::kChained;
   }
   if (config_.allow_direct_nvme_gpu) {
     ++stats_.direct_loads;
     return FillRoute::kDirect;
   }
-  *stage_tag = StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
+  StageInternal(key, bytes, now, probability, /*require_host_backed=*/false);
   ++stats_.gpu_fills_chained;
   return FillRoute::kChained;
 }
 
-uint64_t TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now,
-                                        double probability) {
+bool TieredExpertStore::StageToHost(uint64_t key, uint64_t bytes, double now,
+                                    double probability) {
   if (!config_.nvme_backing || config_.host_capacity_bytes == 0 || gpu_.Contains(key)) {
-    return 0;
+    return false;
   }
   nvme_link_.Tick(now);
   if (host_.Contains(key)) {
     host_.SetProbability(key, probability);
-    return 0;
+    return false;
   }
-  if (stage_tag_by_key_.contains(key)) {
-    // A transient (bounce-buffer) staging for this key is already in flight; issuing a
-    // second one would fork the per-key stage bookkeeping.
-    return 0;
+  if (stages_.contains(key)) {
+    // A transient (bounce-buffer) staging for this key is already queued; a second one would
+    // put two transfers named by one key on the NVMe link.
+    return false;
   }
   return StageInternal(key, bytes, now, probability, /*require_host_backed=*/true);
 }
 
-uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double now,
-                                          double probability, bool require_host_backed) {
+bool TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double now,
+                                      double probability, bool require_host_backed) {
   CacheEntry entry;
   entry.key = key;
   entry.bytes = bytes;
@@ -176,8 +168,6 @@ uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double n
   entry.last_access = now;
   entry.probability = probability;
   entry.prefetch_pending = true;
-  const uint64_t tag = next_stage_tag_++;
-  entry.transfer_tag = tag;
   host_victims_scratch_.clear();
   const bool host_backed = host_.Insert(entry, now, &host_victims_scratch_);
   if (host_backed) {
@@ -187,47 +177,37 @@ uint64_t TieredExpertStore::StageInternal(uint64_t key, uint64_t bytes, double n
     host_.Pin(key);
     TraceHostOccupancy(now);
   } else if (require_host_backed) {
-    return 0;
+    return false;
   }
-  stage_by_tag_.emplace(tag, StageInfo{key, host_backed});
-  stage_tag_by_key_.emplace(key, tag);
+  stages_.emplace(key, host_backed);
   ++stats_.stages_issued;
-  nvme_link_.EnqueuePrefetch(now, tag, bytes);
+  nvme_link_.EnqueuePrefetch(now, key, bytes);
   TraceMove(host_backed ? "stage-issue" : "stage-issue-transient", key, bytes, now);
-  return tag;
+  return true;
 }
 
-void TieredExpertStore::OnNvmeScheduled(uint64_t tag, double completion) {
-  const auto it = stage_by_tag_.find(tag);
-  if (it == stage_by_tag_.end()) {
-    // Not a staging tag: an engine-owned direct NVMe→GPU transfer.
+void TieredExpertStore::OnNvmeScheduled(uint64_t key, double completion) {
+  const auto it = stages_.find(key);
+  if (it == stages_.end()) {
+    // No staging of this key is queued: the transfer is the engine's direct NVMe→GPU fill.
     if (direct_hook_) {
-      direct_hook_(tag, completion);
+      direct_hook_(key, completion);
     }
     return;
   }
-  const StageInfo info = it->second;
-  EraseStage(tag, info.key);
-  if (info.host_backed) {
-    EntryRef entry = host_.Find(info.key);
-    if (entry && entry.transfer_tag() == tag) {
-      entry.set_ready_at(completion);
-      entry.set_prefetch_pending(false);
-      entry.set_transfer_tag(0);
-      host_.Unpin(info.key);
-    }
+  const bool host_backed = it->second;
+  stages_.erase(it);
+  if (host_backed) {
+    // The staging entry is pinned while queued, so it is still this staging's.
+    EntryRef entry = host_.Find(key);
+    FMOE_CHECK(entry && entry.prefetch_pending());
+    entry.set_ready_at(completion);
+    entry.set_prefetch_pending(false);
+    host_.Unpin(key);
   }
   ++stats_.stages_landed;
   if (stage_hook_) {
-    stage_hook_(tag, info.key, completion);
-  }
-}
-
-void TieredExpertStore::EraseStage(uint64_t tag, uint64_t key) {
-  stage_by_tag_.erase(tag);
-  const auto it = stage_tag_by_key_.find(key);
-  if (it != stage_tag_by_key_.end() && it->second == tag) {
-    stage_tag_by_key_.erase(it);
+    stage_hook_(key, completion);
   }
 }
 
@@ -251,7 +231,6 @@ void TieredExpertStore::DemoteGpuVictim(const CacheEntry& victim, double now) {
   entry.ready_at = now;  // Device→host writeback rides the free full-duplex reverse lane.
   entry.last_access = now;
   entry.prefetch_pending = false;
-  entry.transfer_tag = 0;
   entry.pin_count = 0;
   host_victims_scratch_.clear();
   if (host_.Insert(entry, now, &host_victims_scratch_)) {
@@ -289,19 +268,18 @@ void TieredExpertStore::TraceHostOccupancy(double now) {
 }
 
 bool TieredExpertStore::BookkeepingConsistent() const {
-  if (stage_by_tag_.size() != stage_tag_by_key_.size()) {
-    return false;
+  std::unordered_map<uint64_t, int> queued;
+  for (const uint64_t key : nvme_link_.QueuedTags()) {
+    ++queued[key];
   }
-  for (const auto& [tag, info] : stage_by_tag_) {
-    const auto key_it = stage_tag_by_key_.find(info.key);
-    if (key_it == stage_tag_by_key_.end() || key_it->second != tag) {
+  for (const auto& [key, host_backed] : stages_) {
+    if (queued[key] != 1) {
       return false;
     }
-    const ConstEntryRef entry = host_.Find(info.key);
-    if (info.host_backed) {
-      // A host-backed staging entry must still be pending on this tag and pinned.
-      if (!entry || !entry.prefetch_pending() || entry.transfer_tag() != tag ||
-          entry.pin_count() == 0) {
+    const ConstEntryRef entry = host_.Find(key);
+    if (host_backed) {
+      // A host-backed staging entry must still be pending and pinned.
+      if (!entry || !entry.prefetch_pending() || entry.pin_count() == 0) {
         return false;
       }
     } else if (entry) {
@@ -309,10 +287,13 @@ bool TieredExpertStore::BookkeepingConsistent() const {
       return false;
     }
   }
-  if (host_.used_bytes() > host_.capacity_bytes()) {
-    return false;
+  for (const uint64_t key : host_.Keys()) {
+    const auto it = stages_.find(key);
+    if (host_.Find(key).prefetch_pending() && (it == stages_.end() || !it->second)) {
+      return false;
+    }
   }
-  return true;
+  return host_.used_bytes() <= host_.capacity_bytes();
 }
 
 }  // namespace fmoe

@@ -79,20 +79,16 @@ struct TierStats {
   void Accumulate(const TierStats& other);
 };
 
+// Every transfer queued on the NVMe link is named by its flat expert key. A key has at most
+// one: a staging is never issued for a key the GPU tier holds, and a GPU fill chains onto the
+// key's staging whenever one is queued, so a direct NVMe→GPU fill and a staging of the same
+// key never coexist.
 class TieredExpertStore {
  public:
-  enum class FillRoute {
-    kFromHost,  // Host copy available: enqueue the GPU hop with the returned earliest start.
-    kChained,   // NVMe→host staging in flight/queued: enqueue the GPU hop when it lands.
-    kDirect,    // Explicit direct path: run the transfer on the NVMe link itself.
-  };
-
-  // `on_stage_scheduled(stage_tag, key, completion)` fires when an NVMe→host staging transfer
-  // starts (its completion instant becomes known) — the engine uses it to launch chained
-  // host→GPU hops. `on_direct_scheduled(tag, completion)` forwards NVMe-link completions for
-  // tags the store does not own (the engine's direct NVMe→GPU transfers).
-  using StageScheduledHook = std::function<void(uint64_t stage_tag, uint64_t key, double completion)>;
-  using TransferScheduledHook = std::function<void(uint64_t tag, double completion)>;
+  // Fired with (key, completion) when a queued NVMe transfer starts and its completion instant
+  // becomes known. The stage hook reports stagings — the engine uses it to launch chained
+  // host→GPU hops; the direct hook reports the engine's direct NVMe→GPU fills.
+  using TransferScheduledHook = std::function<void(uint64_t key, double completion)>;
 
   TieredExpertStore(uint64_t gpu_capacity_bytes, const EvictionPolicy* gpu_policy,
                     const TierConfig& config);
@@ -103,9 +99,11 @@ class TieredExpertStore {
   PcieLink& nvme_link() { return nvme_link_; }
   const PcieLink& nvme_link() const { return nvme_link_; }
   const TierStats& stats() const { return stats_; }
-  size_t pending_stage_count() const { return stage_by_tag_.size(); }
+  size_t pending_stage_count() const { return stages_.size(); }
+  // True while an NVMe→host staging of `key` is queued on the NVMe link.
+  bool StagePending(uint64_t key) const { return stages_.contains(key); }
 
-  void set_stage_scheduled_hook(StageScheduledHook hook) { stage_hook_ = std::move(hook); }
+  void set_stage_scheduled_hook(TransferScheduledHook hook) { stage_hook_ = std::move(hook); }
   void set_direct_scheduled_hook(TransferScheduledHook hook) { direct_hook_ = std::move(hook); }
 
   // Attaches a trace recorder (pure observer). With NVMe backing it registers two tracks,
@@ -141,17 +139,18 @@ class TieredExpertStore {
 
   // --- Prefetch path. ---
   // Plans the source side of a GPU prefetch issued at `now`. kFromHost sets `*earliest`
-  // (`now` without NVMe backing); kChained sets `*stage_tag` (an NVMe→host staging the
-  // caller should chain on — newly issued here if none was in flight). kDirect asks the
-  // caller to run the transfer on the NVMe link. Never fails: when the host pool cannot hold
-  // the staging copy the transfer still runs through a transient host bounce buffer.
+  // (`now` without NVMe backing); kChained means the key's NVMe→host staging (newly issued
+  // here if none was queued) feeds the hop, which the caller queues when the stage hook fires.
+  // kDirect asks the caller to run the transfer on the NVMe link. Never fails: when the host
+  // pool cannot hold the staging copy the transfer still runs through a transient host bounce
+  // buffer.
   FillRoute PlanGpuFill(uint64_t key, uint64_t bytes, double now, double probability,
-                        double* earliest, uint64_t* stage_tag);
+                        double* earliest);
 
   // Speculative NVMe→host staging (map-store candidate scoring, no GPU hop attached).
-  // Returns the stage tag, or 0 when nothing was issued (no NVMe backing, already GPU- or
-  // host-side, no host pool, or the pool cannot take the copy).
-  uint64_t StageToHost(uint64_t key, uint64_t bytes, double now, double probability);
+  // Returns false, issuing nothing, without NVMe backing or a host pool, for a key already
+  // GPU- or host-side, or when the pool cannot take the copy.
+  bool StageToHost(uint64_t key, uint64_t bytes, double now, double probability);
 
   // --- Demotion. ---
   // Re-homes a GPU eviction victim carrying real resident data (caller filters out pending
@@ -172,19 +171,16 @@ class TieredExpertStore {
     }
   }
 
-  // Cross-checks stage bookkeeping against host-pool state (fuzz/property tests).
+  // Cross-checks stage bookkeeping against host-pool state and the NVMe link's queue
+  // (fuzz/property tests): every staging is queued exactly once, a host-backed one owns a
+  // pending pinned host entry, a transient one owns none, and every pending host entry is a
+  // queued host-backed staging.
   bool BookkeepingConsistent() const;
 
  private:
-  struct StageInfo {
-    uint64_t key = 0;
-    bool host_backed = false;  // False: transient bounce buffer, no host pool entry.
-  };
-
-  uint64_t StageInternal(uint64_t key, uint64_t bytes, double now, double probability,
-                         bool require_host_backed);
-  void OnNvmeScheduled(uint64_t tag, double completion);
-  void EraseStage(uint64_t tag, uint64_t key);
+  bool StageInternal(uint64_t key, uint64_t bytes, double now, double probability,
+                     bool require_host_backed);
+  void OnNvmeScheduled(uint64_t key, double completion);
   void NoteHostSpills(double now);
   void TraceMove(const char* name, uint64_t key, uint64_t bytes, double now);
   void TraceHostOccupancy(double now);
@@ -195,15 +191,14 @@ class TieredExpertStore {
   ExpertCache host_;
   PcieLink nvme_link_;
   TierStats stats_;
-  StageScheduledHook stage_hook_;
+  TransferScheduledHook stage_hook_;
   TransferScheduledHook direct_hook_;
   TraceRecorder* trace_ = nullptr;  // Not owned; null = tracing disabled.
   int host_track_ = 0;
   int nvme_track_ = 0;
 
-  uint64_t next_stage_tag_ = 1;
-  std::unordered_map<uint64_t, StageInfo> stage_by_tag_;
-  std::unordered_map<uint64_t, uint64_t> stage_tag_by_key_;
+  // Queued stagings: key -> host_backed (false: transient bounce buffer, no host pool entry).
+  std::unordered_map<uint64_t, bool> stages_;
   std::vector<CacheEntry> host_victims_scratch_;
 };
 

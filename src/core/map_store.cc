@@ -5,28 +5,9 @@
 
 #include "src/util/logging.h"
 #include "src/util/math.h"
-#include "src/util/thread_pool.h"
 
 namespace fmoe {
 namespace {
-
-// Partitions [0, count) into contiguous chunks and runs `fn(begin, end)` on each, using up to
-// `threads` workers of the process-wide scan pool (the calling thread contributes one chunk).
-// Chunks are fixed by count/threads alone, and callers reduce the per-row outputs in row
-// order afterwards, so the result is independent of scheduling — and identical to the old
-// per-call std::thread spawning this replaced, minus the thread create/join per scan.
-template <typename Fn>
-void RunPartitioned(size_t count, int threads, Fn&& fn) {
-  constexpr size_t kMinRowsPerThread = 512;
-  const size_t max_workers = count / kMinRowsPerThread;
-  const size_t workers = std::min<size_t>(static_cast<size_t>(threads), max_workers);
-  if (workers <= 1) {
-    fn(size_t{0}, count);
-    return;
-  }
-  SharedScanPool().RunChunks(count, workers,
-                             [&fn](size_t begin, size_t end) { fn(begin, end); });
-}
 
 void UpdateBest(SearchResult* best, size_t index, double score) {
   if (!best->found || score > best->score) {  // Strict >: lowest index wins ties.
@@ -149,11 +130,6 @@ double ExpertMapStore::PrefixNorm(size_t index, int prefix_layers) const {
   return std::sqrt(
       prefix_sqnorms_[index * static_cast<size_t>(model_.num_layers + 1) +
                       static_cast<size_t>(prefix_layers)]);
-}
-
-void ExpertMapStore::set_search_threads(int threads) {
-  FMOE_CHECK(threads >= 1);
-  search_threads_ = threads;
 }
 
 void ExpertMapStore::ScanMapColumns(std::span<const float> coeffs, size_t first_col,
@@ -310,6 +286,12 @@ void ExpertMapStore::IndexRecord(size_t slot) {
 }
 
 uint64_t ExpertMapStore::Insert(StoredIteration record) {
+  // An int8 column widens its range to cover every value, so one huge value would cost the
+  // whole column its resolution.
+  const std::span<const double> probs = record.map.Flat();
+  FMOE_CHECK_MSG(std::all_of(probs.begin(), probs.end(),
+                             [](double p) { return p >= 0.0 && p <= 1.0; }),
+                 "expert-map probability outside [0, 1] in request " << record.request_id);
   ++generation_;
   if (records_.size() < capacity_) {
     records_.push_back(std::move(record));
@@ -342,12 +324,10 @@ uint64_t ExpertMapStore::Insert(StoredIteration record) {
   Q8Coeffs folded;
   FoldQ8ScanCoeffs(map_query, 0, &folded);
   std::vector<double> trajectory(n, 0.0);
-  RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-    ScanMapColumns(map_query, 0, begin, end, &folded, trajectory.data() + begin);
-    for (size_t i = begin; i < end; ++i) {
-      trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
-    }
-  });
+  ScanMapColumns(map_query, 0, 0, n, &folded, trajectory.data());
+  for (size_t i = 0; i < n; ++i) {
+    trajectory[i] *= inv_map_qnorm * inv_prefix_norms_[i * norm_stride + full];
+  }
 
   const std::vector<float> emb_query = ToFloat(record.embedding);
   const double emb_qnorm = std::sqrt(DotF(emb_query, emb_query));
@@ -398,10 +378,8 @@ SearchResult ExpertMapStore::SemanticSearch(std::span<const double> embedding) c
   uint64_t compared = 0;
   if (uniform) {
     compared = n;
-    RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-      CosineAgainstRows(query, inv_qnorm, emb_rows_.data() + begin * emb_stride_, emb_stride_,
-                        end - begin, inv_emb_norms_.data() + begin, scores.data() + begin);
-    });
+    CosineAgainstRows(query, inv_qnorm, emb_rows_.data(), emb_stride_, n, inv_emb_norms_.data(),
+                      scores.data());
     for (size_t i = 0; i < n; ++i) {
       UpdateBest(&result, i, scores[i]);
     }
@@ -434,15 +412,13 @@ SearchResult ExpertMapStore::TrajectorySearch(std::span<const double> prefix,
   Q8Coeffs folded;
   FoldQ8ScanCoeffs(query, 0, &folded);
   std::vector<double> scores(n, 0.0);
-  RunPartitioned(n, search_threads_, [&](size_t begin, size_t end) {
-    // The prefix touches columns [0, prefix_layers·J) of the layer-major matrix — one fully
-    // sequential streaming pass, independent of the full map width.
-    ScanMapColumns(query, 0, begin, end, &folded, scores.data() + begin);
-    for (size_t i = begin; i < end; ++i) {
-      scores[i] *= inv_qnorm *
-                   inv_prefix_norms_[i * norm_stride + static_cast<size_t>(prefix_layers)];
-    }
-  });
+  // The prefix touches columns [0, prefix_layers·J) of the layer-major matrix — one fully
+  // sequential streaming pass, independent of the full map width.
+  ScanMapColumns(query, 0, 0, n, &folded, scores.data());
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] *= inv_qnorm *
+                 inv_prefix_norms_[i * norm_stride + static_cast<size_t>(prefix_layers)];
+  }
   for (size_t i = 0; i < n; ++i) {
     UpdateBest(&result, i, scores[i]);
   }

@@ -27,10 +27,8 @@
 //                        convention.
 // With inverse norms precomputed, a cosine is one batched dot product plus one multiply — no
 // sqrt or divide anywhere on the scan (AccumulateColumns / DotBatched / CosineAgainstRows in
-// src/util/math.h). Optional search_threads > 1 partitions the rows across threads; per-row
-// arithmetic is partition-independent and the argmax reduction is performed in row order
-// afterwards, so results (including lowest-index tie-breaks) are bit-identical to the
-// single-threaded scan.
+// src/util/math.h). The argmax reduction runs in row order after the scan, so ties break
+// toward the lowest index.
 //
 // Quantized column storage (DESIGN.md §5g). The trajectory matrix dominates store memory
 // (map_dim · capacity values vs one embedding row per record), so it can optionally be held
@@ -182,11 +180,6 @@ class ExpertMapStore {
   // Bumped on every mutation (insert, replace, clear); lets sessions detect staleness.
   uint64_t generation() const { return generation_; }
 
-  // Number of threads full-store scans may use (default 1). The reduction is deterministic:
-  // any thread count returns bit-identical results, ties broken toward the lowest index.
-  void set_search_threads(int threads);
-  int search_threads() const { return search_threads_; }
-
  private:
   // Rebuilds the SoA row, norms, and prefix norms for records_[slot].
   void IndexRecord(size_t slot);
@@ -208,7 +201,6 @@ class ExpertMapStore {
   MapPrecision precision_;
   size_t next_fifo_slot_ = 0;
   int map_dim_ = 0;  // num_layers * experts_per_layer.
-  int search_threads_ = 1;
   uint64_t generation_ = 0;
   bool norms_dirty_ = false;  // Set by RequantizeColumn; cleared by IndexRecord.
 

@@ -74,6 +74,24 @@ bool AllFinite(const std::vector<double>& values) {
   return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
 }
 
+// Checks a decoded map row against the probability range [0, 1] and clamps it there. A
+// saved value may sit outside by the file precision's own rounding: nothing at fp32 and fp16
+// (both represent 0 and 1 and round monotonically), up to half a quantization step at int8
+// (plus slack for the double-precision decode), which the clamp takes back out.
+bool ClampProbabilities(MapPrecision precision, const std::vector<float>& scales,
+                        std::vector<double>* values) {
+  for (size_t k = 0; k < values->size(); ++k) {
+    const double slack =
+        precision == MapPrecision::kInt8 ? 0.5 * static_cast<double>(scales[k]) + 1e-6 : 0.0;
+    double& p = (*values)[k];
+    if (!(p >= -slack && p <= 1.0 + slack)) {
+      return false;
+    }
+    p = std::clamp(p, 0.0, 1.0);
+  }
+  return true;
+}
+
 bool ReadFloats(std::istream& in, size_t count, std::vector<double>* values) {
   std::vector<float> buffer(count);
   in.read(reinterpret_cast<char*>(buffer.data()),
@@ -294,6 +312,10 @@ static StoreIoResult ParseStoreStream(std::istream& in, const ModelConfig& model
     }
     if (!AllFinite(map_values) || !AllFinite(embedding)) {
       return StoreIoResult::Failure("non-finite value in record " + std::to_string(i));
+    }
+    if (!ClampProbabilities(file_precision, scales, &map_values)) {
+      return StoreIoResult::Failure("probability outside [0, 1] in record " +
+                                    std::to_string(i));
     }
     StoredIteration record;
     record.request_id = request_id;

@@ -80,8 +80,6 @@ class ShardedMapStore {
   uint64_t generation(int s) const { return shards_[static_cast<size_t>(s)]->generation(); }
 
   void Clear();
-  void set_search_threads(int threads);
-  int search_threads() const { return shards_.front()->search_threads(); }
 
   // Shard s's reader-writer lock. Sessions (and any out-of-band reader) take it shared;
   // Insert/Clear take it exclusive. Exposed so ShardedTrajectorySession can pair its cached

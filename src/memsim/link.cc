@@ -46,6 +46,15 @@ bool PcieLink::CancelQueuedPrefetch(uint64_t tag) {
   return false;
 }
 
+std::vector<uint64_t> PcieLink::QueuedTags() const {
+  std::vector<uint64_t> tags;
+  tags.reserve(queue_.size());
+  for (const PendingTransfer& transfer : queue_) {
+    tags.push_back(transfer.tag);
+  }
+  return tags;
+}
+
 void PcieLink::StartEligiblePrefetches(double now) {
   // A queued transfer starts at max(busy_until_, enqueue_time, earliest_start); it may only
   // start once the simulation reaches that instant, so demand loads arriving earlier can still

@@ -80,6 +80,8 @@ class PcieLink {
   double busy_until() const { return busy_until_; }
 
   size_t queued_prefetch_count() const { return queue_.size(); }
+  // Tags of the queued (not yet started) prefetches in queue order, for invariant checks.
+  std::vector<uint64_t> QueuedTags() const;
 
   // Cumulative accounting (for the latency-breakdown and overhead figures).
   uint64_t total_demand_bytes() const { return total_demand_bytes_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -62,31 +63,26 @@ ServingEngine::ServingEngine(const ModelConfig& model, const EngineConfig& confi
     // ids — and the traced-vs-untraced bitwise goldens — never shift with config.
     store_.RegisterTrace(trace_, tp);
   }
-  // Wire prefetch-start events from every device link back into cache bookkeeping.
+  // Every queued GPU fill is named by its flat expert key, on the device links and on the
+  // store's NVMe link (direct path) alike; its start reports back into cache bookkeeping.
+  const auto on_fill_scheduled = [this](uint64_t key, double completion) {
+    OnTransferScheduled(key, completion);
+  };
   for (int dev = 0; dev < cluster_.device_count(); ++dev) {
-    cluster_.device(dev).link().set_completion_callback(
-        [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
+    cluster_.device(dev).link().set_completion_callback(on_fill_scheduled);
   }
-  // Tier chain plumbing: when an NVMe→host staging transfer is scheduled its chained
-  // host→GPU hop (if any) is enqueued with the staging completion as earliest start; direct
-  // NVMe→GPU transfers report back through the ordinary transfer-scheduled path.
-  store_.set_stage_scheduled_hook([this](uint64_t stage_tag, uint64_t key, double completion) {
-    const auto it = chains_by_stage_tag_.find(stage_tag);
-    if (it == chains_by_stage_tag_.end()) {
-      return;  // Speculative staging (or chain dropped by eviction): host copy only.
+  store_.set_direct_scheduled_hook(on_fill_scheduled);
+  // Tier chain plumbing: when a key's NVMe→host staging starts, a GPU fill chained on it
+  // queues its host→GPU hop with the staging completion as earliest start.
+  store_.set_stage_scheduled_hook([this](uint64_t key, double completion) {
+    EntryRef entry = cache_.Find(key);
+    if (!entry || !entry.prefetch_pending() || entry.fill_route() != FillRoute::kChained) {
+      return;  // Speculative staging, or its chained fill was evicted or promoted: host copy.
     }
-    const ChainedPrefetch chain = it->second;
-    chains_by_stage_tag_.erase(it);
-    stage_tag_by_gpu_tag_.erase(chain.gpu_tag);
-    if (!transfer_key_by_tag_.contains(chain.gpu_tag)) {
-      return;  // The GPU entry was evicted while its staging was in flight.
-    }
-    FMOE_CHECK(chain.key == key);
-    LinkFor(chain.key).EnqueuePrefetchAfter(clock_.now(), chain.gpu_tag, chain.bytes,
-                                            std::max(clock_.now(), completion));
+    entry.set_fill_route(FillRoute::kFromHost);
+    LinkFor(key).EnqueuePrefetchAfter(clock_.now(), key, entry.bytes(),
+                                      std::max(clock_.now(), completion));
   });
-  store_.set_direct_scheduled_hook(
-      [this](uint64_t tag, double completion) { OnTransferScheduled(tag, completion); });
   if (config_.preload_all) {
     PreloadAllExperts();
   }
@@ -102,37 +98,31 @@ void ServingEngine::PreloadAllExperts() {
                  "preload_all requires the cache to fit every expert");
 }
 
-void ServingEngine::OnTransferScheduled(uint64_t tag, double completion) {
-  direct_tags_.erase(tag);  // No-op except for scheduled NVMe→GPU direct transfers.
-  const auto it = transfer_key_by_tag_.find(tag);
-  if (it == transfer_key_by_tag_.end()) {
-    return;  // Transfer belonged to an entry evicted before it started.
-  }
-  const uint64_t key = it->second;
-  transfer_key_by_tag_.erase(it);
-  if (EntryRef entry = cache_.Find(key); entry && entry.transfer_tag() == tag) {
-    entry.set_ready_at(completion);
-    entry.set_prefetch_pending(false);
-    entry.set_transfer_tag(0);
-  }
+void ServingEngine::OnTransferScheduled(uint64_t key, double completion) {
+  // Evictions and demand promotions cancel a fill's queued transfer, so a transfer that
+  // starts always belongs to the key's pending entry.
+  EntryRef entry = cache_.Find(key);
+  FMOE_CHECK(entry && entry.prefetch_pending());
+  entry.set_ready_at(completion);
+  entry.set_prefetch_pending(false);
 }
 
 void ServingEngine::CleanupEvicted(const std::vector<CacheEntry>& evicted) {
   for (const CacheEntry& victim : evicted) {
     stall_machine_.OnEvicted(victim.key);
-    if (victim.prefetch_pending && victim.transfer_tag != 0) {
-      const auto chain_it = stage_tag_by_gpu_tag_.find(victim.transfer_tag);
-      if (chain_it != stage_tag_by_gpu_tag_.end()) {
-        // The GPU hop was never enqueued (still chained behind NVMe→host staging): drop the
-        // chain; the staging continues and lands as a plain host-pool copy.
-        chains_by_stage_tag_.erase(chain_it->second);
-        stage_tag_by_gpu_tag_.erase(chain_it);
-      } else if (direct_tags_.erase(victim.transfer_tag) > 0) {
-        store_.nvme_link().CancelQueuedPrefetch(victim.transfer_tag);
-      } else {
-        LinkFor(victim.key).CancelQueuedPrefetch(victim.transfer_tag);
+    if (victim.prefetch_pending) {
+      switch (victim.fill_route) {
+        case FillRoute::kFromHost:
+          LinkFor(victim.key).CancelQueuedPrefetch(victim.key);
+          break;
+        case FillRoute::kChained:
+          // The GPU hop was never enqueued: the staging continues and lands as a plain
+          // host-pool copy (the stage hook finds no chained entry).
+          break;
+        case FillRoute::kDirect:
+          store_.nvme_link().CancelQueuedPrefetch(victim.key);
+          break;
       }
-      transfer_key_by_tag_.erase(victim.transfer_tag);
     } else {
       // The victim carried real resident data: demote GPU→host (spilling host→NVMe under
       // pressure happens inside the store).
@@ -176,11 +166,6 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
   GpuDevice& device = cluster_.DeviceFor(key);
   const bool allocated = device.Allocate(entry.bytes);
   FMOE_CHECK_MSG(allocated, "GPU memory exhausted; configure devices >= cache budget");
-  // The transfer tag is only minted once the insert has succeeded, so rejected prefetches
-  // (everything pinned, budget too small) do not burn tag numbers.
-  const uint64_t tag = next_transfer_tag_++;
-  cache_.Find(key).set_transfer_tag(tag);
-  transfer_key_by_tag_[tag] = key;
   // Hold the inbound expert until its layer runs: an eviction before first use would waste
   // the transfer and (for frequency-based policies) systematically victimise fresh entries.
   // Capped at half the cache so pins cannot starve residency on small budgets.
@@ -190,27 +175,27 @@ void ServingEngine::PrefetchAsyncSized(ExpertId id, double probability, double /
     prefetch_pinned_by_layer_[static_cast<size_t>(id.layer)].push_back(key);
     ++prefetch_pinned_count_;
   }
+  // The entry stays kFromHost (the insert default) while the fill is planned, so a staging
+  // of this key that starts inside PlanGpuFill does not look like its chain.
   double earliest = clock_.now();
-  uint64_t stage_tag = 0;
-  switch (store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability, &earliest,
-                             &stage_tag)) {
-    case TieredExpertStore::FillRoute::kFromHost:
-      device.link().EnqueuePrefetchAfter(clock_.now(), tag, entry.bytes, earliest);
+  const FillRoute route = store_.PlanGpuFill(key, entry.bytes, clock_.now(), probability,
+                                             &earliest);
+  cache_.Find(key).set_fill_route(route);
+  switch (route) {
+    case FillRoute::kFromHost:
+      device.link().EnqueuePrefetchAfter(clock_.now(), key, entry.bytes, earliest);
       break;
-    case TieredExpertStore::FillRoute::kChained:
-      chains_by_stage_tag_[stage_tag] = ChainedPrefetch{key, tag, entry.bytes};
-      stage_tag_by_gpu_tag_[tag] = stage_tag;
-      break;
-    case TieredExpertStore::FillRoute::kDirect:
-      direct_tags_.insert(tag);
-      store_.nvme_link().EnqueuePrefetch(clock_.now(), tag, entry.bytes);
+    case FillRoute::kChained:
+      break;  // Queued on the device link by the stage hook once the staging starts.
+    case FillRoute::kDirect:
+      store_.nvme_link().EnqueuePrefetch(clock_.now(), key, entry.bytes);
       break;
   }
   stall_machine_.OnPrefetchIssued(key);
   if (trace_ != nullptr) {
     trace_->Instant(trace_engine_track_, "prefetch-issue", "prefetch", clock_.now(),
                     {TraceArg::Int("layer", id.layer), TraceArg::Int("expert", id.expert),
-                     TraceArg::Num("prob", probability), TraceArg::Uint("tag", tag)});
+                     TraceArg::Num("prob", probability), TraceArg::Uint("tag", key)});
   }
 }
 
@@ -259,33 +244,33 @@ void ServingEngine::InsertDemandFill(uint64_t key, double ready, double probabil
 
 double ServingEngine::PromoteQueuedToDemand(EntryRef& entry, uint64_t key, PcieLink& link,
                                             StallTier* source) {
-  const uint64_t tag = entry.transfer_tag();
-  transfer_key_by_tag_.erase(tag);
-  entry.set_transfer_tag(0);
+  // No longer a queued prefetch: a staging of this key that starts inside the store calls
+  // below must not queue the chained hop.
+  entry.set_prefetch_pending(false);
   double ready = 0.0;
-  if (const auto chain_it = stage_tag_by_gpu_tag_.find(tag);
-      chain_it != stage_tag_by_gpu_tag_.end()) {
-    // The host→GPU hop was never enqueued (still chained behind NVMe→host staging): resolve
-    // the whole chain on demand — promote the staging NVMe-side, then demand the PCIe hop
-    // behind the staged data's availability.
-    chains_by_stage_tag_.erase(chain_it->second);
-    stage_tag_by_gpu_tag_.erase(chain_it);
-    const double earliest = store_.EnsureHostSide(key, entry.bytes(), clock_.now(), source);
-    ready = link.DemandLoadAfter(clock_.now(), earliest, entry.bytes());
-  } else if (direct_tags_.erase(tag) > 0) {
-    store_.nvme_link().CancelQueuedPrefetch(tag);
-    *source = StallTier::kNvme;
-    ready = store_.DirectDemand(key, entry.bytes(), clock_.now());
-  } else {
-    // The hop is already queued on the PCIe link: promote it there, honouring the host
-    // copy's availability (it may still be landing from an earlier staging; without NVMe
-    // backing it is available `now`).
-    link.CancelQueuedPrefetch(tag);
-    ready = link.DemandLoadAfter(clock_.now(), store_.HostAvailableAt(key, clock_.now()),
-                                 entry.bytes());
+  switch (entry.fill_route()) {
+    case FillRoute::kChained: {
+      // The host→GPU hop was never enqueued: resolve the whole chain on demand — promote the
+      // staging NVMe-side, then demand the PCIe hop behind the staged data's availability.
+      const double earliest = store_.EnsureHostSide(key, entry.bytes(), clock_.now(), source);
+      ready = link.DemandLoadAfter(clock_.now(), earliest, entry.bytes());
+      break;
+    }
+    case FillRoute::kDirect:
+      store_.nvme_link().CancelQueuedPrefetch(key);
+      *source = StallTier::kNvme;
+      ready = store_.DirectDemand(key, entry.bytes(), clock_.now());
+      break;
+    case FillRoute::kFromHost:
+      // The hop is already queued on the PCIe link: promote it there, honouring the host
+      // copy's availability (it may still be landing from an earlier staging; without NVMe
+      // backing it is available `now`).
+      link.CancelQueuedPrefetch(key);
+      ready = link.DemandLoadAfter(clock_.now(), store_.HostAvailableAt(key, clock_.now()),
+                                   entry.bytes());
+      break;
   }
   entry.set_ready_at(ready);
-  entry.set_prefetch_pending(false);
   return ready;
 }
 
@@ -421,42 +406,68 @@ void ServingEngine::DrainDeferred() {
 }
 
 bool ServingEngine::TransferTagsConsistent() const {
-  for (const auto& [tag, key] : transfer_key_by_tag_) {
-    const ConstEntryRef entry = std::as_const(cache_).Find(key);
-    if (!entry || entry.transfer_tag() != tag || !entry.prefetch_pending()) {
-      return false;
+  std::unordered_map<uint64_t, int> on_device;
+  for (int dev = 0; dev < cluster_.device_count(); ++dev) {
+    for (const uint64_t key : cluster_.device(dev).link().QueuedTags()) {
+      if (cluster_.DeviceForKey(key) != dev) {
+        return false;
+      }
+      ++on_device[key];
     }
   }
+  std::unordered_map<uint64_t, int> on_nvme;
+  for (const uint64_t key : store_.nvme_link().QueuedTags()) {
+    ++on_nvme[key];
+  }
+  size_t device_fills = 0;
   for (const uint64_t key : cache_.Keys()) {
     const ConstEntryRef entry = std::as_const(cache_).Find(key);
-    if (entry.prefetch_pending() && entry.transfer_tag() != 0 &&
-        !transfer_key_by_tag_.contains(entry.transfer_tag())) {
+    if (!entry.prefetch_pending()) {
+      continue;
+    }
+    const int device = on_device[key];
+    const int nvme = on_nvme[key];
+    const bool staging = store_.StagePending(key);
+    // Exactly one live fill, on the route the entry records; a chained fill's one NVMe
+    // transfer is the key's staging.
+    bool one_fill = false;
+    switch (entry.fill_route()) {
+      case FillRoute::kFromHost:
+        one_fill = device == 1 && nvme == 0 && !staging;
+        ++device_fills;
+        break;
+      case FillRoute::kChained:
+        // A staging that starts inside PlanGpuFill (idle NVMe link) fires the stage hook
+        // before the entry records kChained, so that fill never queues its hop and waits for
+        // its demand promotion with no live transfer.
+        one_fill = device == 0 && nvme == (staging ? 1 : 0);
+        break;
+      case FillRoute::kDirect:
+        one_fill = device == 0 && nvme == 1 && !staging;
+        break;
+    }
+    if (!one_fill) {
       return false;
     }
   }
-  return true;
+  // Every device-link transfer was matched to a pending kFromHost entry above.
+  size_t device_queued = 0;
+  for (const auto& [key, count] : on_device) {
+    device_queued += static_cast<size_t>(count);
+  }
+  return device_queued == device_fills;
 }
 
 bool ServingEngine::TierBookkeepingConsistent() const {
   if (!store_.BookkeepingConsistent()) {
     return false;
   }
-  if (chains_by_stage_tag_.size() != stage_tag_by_gpu_tag_.size()) {
-    return false;
-  }
-  for (const auto& [stage_tag, chain] : chains_by_stage_tag_) {
-    // Chain maps must be mutual inverses, and every chained GPU tag must still name a live
-    // GPU-cache transfer.
-    const auto it = stage_tag_by_gpu_tag_.find(chain.gpu_tag);
-    if (it == stage_tag_by_gpu_tag_.end() || it->second != stage_tag) {
-      return false;
+  for (const uint64_t key : store_.nvme_link().QueuedTags()) {
+    if (store_.StagePending(key)) {
+      continue;
     }
-    if (!transfer_key_by_tag_.contains(chain.gpu_tag)) {
-      return false;
-    }
-  }
-  for (const uint64_t tag : direct_tags_) {
-    if (!transfer_key_by_tag_.contains(tag)) {
+    const ConstEntryRef entry = std::as_const(cache_).Find(key);
+    if (!entry || !entry.prefetch_pending() || entry.fill_route() != FillRoute::kDirect) {
       return false;
     }
   }

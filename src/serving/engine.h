@@ -14,8 +14,6 @@
 #include <span>
 #include <string>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cache/expert_cache.h"
@@ -182,11 +180,14 @@ class ServingEngine : public EngineHandle {
   // Deferred-pipeline introspection (tests and invariant checks).
   size_t PendingDeferredJobs() const { return matcher_.pending(); }
   const MatcherWorker& matcher() const { return matcher_; }
-  // Every queued-transfer tag maps to a resident entry carrying that tag, and vice versa.
+  // Every queued transfer is named by its flat expert key. Every pending GPU entry has one
+  // live fill on the route it records — queued once on its own device link (kFromHost), once
+  // on the NVMe link (kDirect), or chained behind the key's queued staging (kChained; none
+  // when that staging started inside PlanGpuFill, DESIGN.md §5h) — and every transfer queued
+  // on a device link names a pending entry routed there.
   bool TransferTagsConsistent() const;
-  // Chain / direct-path bookkeeping cross-checks for the tiered store (fuzz tests): every
-  // chained prefetch references a live GPU transfer tag, the chain maps are mutual inverses,
-  // and the store's own stage bookkeeping is consistent.
+  // The store's stage bookkeeping is consistent, and every transfer queued on the NVMe link
+  // names either a queued staging or a pending GPU entry on the direct path (fuzz tests).
   bool TierBookkeepingConsistent() const;
 
  private:
@@ -229,8 +230,9 @@ class ServingEngine : public EngineHandle {
   // and freeing device memory for whatever it displaces.
   void InsertDemandFill(uint64_t key, double ready, double probability);
 
-  // Completion bookkeeping shared by prefetch start events.
-  void OnTransferScheduled(uint64_t tag, double completion_time);
+  // A queued GPU fill of `key` started on its device link or the NVMe link: its completion
+  // instant is now known.
+  void OnTransferScheduled(uint64_t key, double completion_time);
 
   uint64_t KeyOf(ExpertId id) const { return model_.FlatIndex(id); }
   PcieLink& LinkFor(uint64_t key) { return cluster_.DeviceFor(key).link(); }
@@ -289,23 +291,6 @@ class ServingEngine : public EngineHandle {
   std::set<int> free_slots_;
   int next_slot_ = 0;
 
-  uint64_t next_transfer_tag_ = 1;
-  // tag -> flat expert key for prefetch-start callbacks.
-  std::unordered_map<uint64_t, uint64_t> transfer_key_by_tag_;
-
-  // Tiered-store chain bookkeeping (empty without NVMe backing). A chained prefetch
-  // is a GPU fill whose host→GPU hop waits for an NVMe→host staging transfer: the hop is
-  // enqueued by the stage-scheduled hook once the staging's completion instant is known.
-  struct ChainedPrefetch {
-    uint64_t key = 0;
-    uint64_t gpu_tag = 0;
-    uint64_t bytes = 0;
-  };
-  std::unordered_map<uint64_t, ChainedPrefetch> chains_by_stage_tag_;
-  std::unordered_map<uint64_t, uint64_t> stage_tag_by_gpu_tag_;  // Inverse of the above.
-  // GPU transfer tags riding the explicit NVMe→GPU direct path (their transfers live on the
-  // store's NVMe link, not the device's PCIe link).
-  std::unordered_set<uint64_t> direct_tags_;
   // Prefetched-but-not-yet-used experts are pinned (the runtime holds a reference to the
   // inbound buffer) and released when their target layer completes or the iteration ends.
   // Bucketed by target layer so releases touch only the completed layers' keys; a key appears

@@ -88,9 +88,18 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Bounded so that neither parsing nor freeing a hostile document exhausts the stack
+        // (the exporter nests four deep).
+        if (depth_ == kMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxDepth));
+          return nullptr;
+        }
+        ++depth_;
+        std::unique_ptr<JsonValue> value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -291,8 +300,11 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

@@ -33,56 +33,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::RunChunks(size_t count, size_t workers,
-                           const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) {
-    return;
-  }
-  if (workers <= 1) {
-    fn(size_t{0}, count);
-    return;
-  }
-  const size_t chunk = (count + workers - 1) / workers;
-  // Per-call latch: this call waits only for its own chunks, so concurrent RunChunks
-  // callers sharing the pool never block on each other's work (Wait() would).
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t remaining;
-  } latch;
-  size_t submitted = 0;
-  for (size_t w = 1; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    if (begin >= count) {
-      break;
-    }
-    ++submitted;
-  }
-  latch.remaining = submitted;
-  for (size_t w = 1; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    if (begin >= count) {
-      break;
-    }
-    const size_t end = std::min(begin + chunk, count);
-    Submit([&latch, &fn, begin, end] {
-      fn(begin, end);
-      // Notify under the lock: the caller destroys the latch the moment it observes
-      // remaining == 0, and holding the mutex across the notify keeps it from re-acquiring
-      // (and returning) until this worker has let go of both mutex and condvar.
-      std::unique_lock<std::mutex> lock(latch.mutex);
-      if (--latch.remaining == 0) {
-        latch.done.notify_one();
-      }
-    });
-  }
-  // The calling thread is worker 0: it contributes a chunk instead of idling, which also
-  // guarantees forward progress even if every pool worker is busy with other callers.
-  fn(size_t{0}, std::min(chunk, count));
-  std::unique_lock<std::mutex> lock(latch.mutex);
-  latch.done.wait(lock, [&latch] { return latch.remaining == 0; });
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
@@ -140,13 +90,6 @@ void ParallelForIndex(size_t count, int threads, const std::function<void(size_t
     });
   }
   pool.Wait();
-}
-
-ThreadPool& SharedScanPool() {
-  // Function-local static: constructed on first scan, torn down at process exit after all
-  // user threads (the pool joins its workers in the destructor).
-  static ThreadPool pool(ThreadPool::HardwareThreads());
-  return pool;
 }
 
 }  // namespace fmoe

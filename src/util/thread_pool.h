@@ -40,14 +40,6 @@ class ThreadPool {
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
-  // Partitions [0, count) into `workers` contiguous chunks of ceil(count / workers) rows and
-  // runs `fn(begin, end)` once per chunk. Chunks 1..workers-1 are submitted to the pool; the
-  // calling thread executes chunk 0 itself, then blocks on a per-call completion latch — NOT
-  // on Wait() — so concurrent callers can share one pool without waiting on each other's
-  // unrelated work, and a caller never deadlocks waiting for its own queue slot. With
-  // workers <= 1 (or count == 0) the whole range runs inline on the calling thread.
-  void RunChunks(size_t count, size_t workers, const std::function<void(size_t, size_t)>& fn);
-
   // std::thread::hardware_concurrency with a floor of 1 (it may report 0).
   static int HardwareThreads();
 
@@ -67,13 +59,6 @@ class ThreadPool {
 // them. With threads <= 1 the calls happen inline, in index order, on the calling thread —
 // the zero-overhead serial path the figure benches use at --jobs=1.
 void ParallelForIndex(size_t count, int threads, const std::function<void(size_t)>& fn);
-
-// Lazily constructed process-wide pool (HardwareThreads() workers) shared by every map-store
-// scan in the process. Replaces the per-call std::thread spawning the scans used to do:
-// thread creation on every scan was pure overhead, and a single pool lets B concurrent
-// matcher sessions and S store shards multiplex onto one fixed worker set. Callers must use
-// RunChunks (per-call latch), never Submit+Wait, so they do not observe each other.
-ThreadPool& SharedScanPool();
 
 }  // namespace fmoe
 

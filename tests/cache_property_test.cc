@@ -45,7 +45,7 @@ void ExpectEntriesEqual(const CacheEntry& got, const CacheEntry& want, const cha
   EXPECT_TRUE(BitEqual(got.last_access, want.last_access)) << where;
   EXPECT_EQ(got.pin_count, want.pin_count) << where;
   EXPECT_EQ(got.prefetch_pending, want.prefetch_pending) << where;
-  EXPECT_EQ(got.transfer_tag, want.transfer_tag) << where;
+  EXPECT_EQ(got.fill_route, want.fill_route) << where;
   EXPECT_EQ(got.reduced_precision, want.reduced_precision) << where;
 }
 

@@ -431,10 +431,62 @@ TEST(ServingEngineTest, DemandLoadPromotesQueuedPrefetchAndCancelsIt) {
   const ConstEntryRef entry = engine.cache().Find(Tiny().FlatIndex(ExpertId{0, 1}));
   ASSERT_TRUE(static_cast<bool>(entry));
   EXPECT_FALSE(entry.prefetch_pending());
-  EXPECT_EQ(entry.transfer_tag(), 0u);
   EXPECT_LE(entry.ready_at(), engine.now());
   EXPECT_DOUBLE_EQ(entry.probability(), 0.95);
   EXPECT_EQ(link.demand_load_count(), 1u);
+}
+
+TEST(ServingEngineTest, DirectFillAndStagingShareTheNvmeLinkWithoutCrossTalk) {
+  // A direct NVMe→GPU fill and an NVMe→host staging queued on the same link must each land
+  // at their own transfer's completion. (Numbering stagings and GPU fills from two counters
+  // that both start at 1 once let D's fill and B's staging share an id, so each one adopted
+  // the other's completion.)
+  OnDemandOptions od;
+  od.expert_agnostic = false;
+  OnDemandPolicy policy(od);
+  EngineConfig config = SmallEngine(Tiny().expert_bytes * 4);
+  config.gpu_count = 1;
+  config.tier.nvme_backing = true;
+  config.tier.host_capacity_bytes = Tiny().expert_bytes * 4;
+  config.tier.allow_direct_nvme_gpu = true;
+  ServingEngine engine(Tiny(), config, &policy);
+  EngineHandle& handle = engine;
+  const ExpertId a{0, 0};
+  const ExpertId b{0, 1};
+  const ExpertId c{0, 2};
+  const ExpertId d{0, 3};
+
+  handle.StageToHostAsync(a, 0.5);      // Starts at once on the idle NVMe link.
+  handle.PrefetchAsync(c, 0.9, 1.0);    // Direct fill, queued behind A.
+  handle.PrefetchAsync(d, 0.8, 0.9);    // Direct fill, queued behind C.
+  handle.StageToHostAsync(b, 0.5);      // Staging, queued behind D.
+  EXPECT_EQ(engine.store().nvme_link().queued_prefetch_count(), 3u);
+  EXPECT_TRUE(engine.TransferTagsConsistent());
+  EXPECT_TRUE(engine.TierBookkeepingConsistent());
+
+  // Every transfer runs back to back in queue order.
+  const double duration = engine.store().nvme_link().TransferDuration(Tiny().expert_bytes);
+  const double a_done = 0.0 + duration;
+  const double c_done = a_done + duration;
+  const double d_done = c_done + duration;
+  const double b_done = d_done + duration;
+  engine.AdvanceClockTo(b_done + 1.0);
+  handle.BlockingLoad(c, 0.9);  // C has landed: this only ticks the links.
+
+  const ModelConfig model = Tiny();
+  EXPECT_DOUBLE_EQ(engine.cache().Find(model.FlatIndex(c)).ready_at(), c_done);
+  const ConstEntryRef d_entry = engine.cache().Find(model.FlatIndex(d));
+  ASSERT_TRUE(static_cast<bool>(d_entry));
+  EXPECT_FALSE(d_entry.prefetch_pending());
+  EXPECT_DOUBLE_EQ(d_entry.ready_at(), d_done);
+  const ConstEntryRef b_copy = engine.store().host().Find(model.FlatIndex(b));
+  ASSERT_TRUE(static_cast<bool>(b_copy));
+  EXPECT_FALSE(b_copy.prefetch_pending());
+  EXPECT_DOUBLE_EQ(b_copy.ready_at(), b_done);
+  EXPECT_EQ(engine.store().stats().stages_landed, 2u);
+  EXPECT_EQ(engine.store().nvme_link().queued_prefetch_count(), 0u);
+  EXPECT_TRUE(engine.TransferTagsConsistent());
+  EXPECT_TRUE(engine.TierBookkeepingConsistent());
 }
 
 TEST(ServingEngineTest, ResidentReducedPrecisionCopyIsNotUpgraded) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -273,13 +274,9 @@ TEST_P(EngineFuzzTest, RandomAsyncKnobsPreserveEngineInvariants) {
       for (const uint64_t key : engine.cache().Keys()) {
         const ConstEntryRef entry = engine.cache().Find(key);
         ASSERT_TRUE(static_cast<bool>(entry));
-        // A live entry is either awaiting its queued transfer (tagged) or fully scheduled
-        // (untagged, with a concrete ready time) — never a tagged non-pending orphan.
-        ASSERT_EQ(entry.prefetch_pending(), entry.transfer_tag() != 0) << "key " << key;
-        if (!entry.prefetch_pending()) {
-          ASSERT_TRUE(std::isfinite(entry.ready_at()))
-              << "scheduled entry must have a finite ready time";
-        }
+        // A live entry is either awaiting its queued transfer (no ready time yet) or fully
+        // scheduled with a concrete ready time.
+        ASSERT_EQ(entry.prefetch_pending(), !std::isfinite(entry.ready_at())) << "key " << key;
       }
     }
 
@@ -504,101 +501,137 @@ StoredIteration FuzzRecord(const ModelConfig& model, Rng& rng, uint64_t id) {
   return record;
 }
 
-ShardedMapStore FuzzStore(const ModelConfig& model) {
-  return ShardedMapStore(model, 24, 2, StoreDedupPolicy::kRedundancy, MapPrecision::kFp32, 2,
+ShardedMapStore FuzzStore(const ModelConfig& model, MapPrecision precision) {
+  return ShardedMapStore(model, 24, 2, StoreDedupPolicy::kRedundancy, precision, 2,
                          kSemanticRouterSeed);
 }
 
 TEST_P(MapStoreFileFuzzTest, RejectedLoadsLeaveStoreUntouchedAcceptedLoadsAreConsistent) {
   const ModelConfig model = TinyTestConfig();
   Rng rng(GetParam());
-  ShardedMapStore source = FuzzStore(model);
-  for (uint64_t id = 0; id < 10; ++id) {
-    source.Insert(FuzzRecord(model, rng, id));
-  }
-  std::ostringstream saved;
-  ASSERT_TRUE(SaveStore(source, saved).ok);
-  const std::string base = saved.str();
   const std::vector<uint64_t> counts = {0, 1, 7, 0xFFFFFFFFull, 0xF0000000ull, 1ull << 58,
                                         ~0ull};
+  // Probabilities (or int8 scales and offsets) spliced over a value: out of [0, 1], the
+  // edges, and one ulp past them.
+  const std::vector<float> values = {1.5f,
+                                     -0.25f,
+                                     std::numeric_limits<float>::max(),
+                                     -std::numeric_limits<float>::max(),
+                                     1e30f,
+                                     0.0f,
+                                     1.0f,
+                                     std::nextafter(1.0f, 2.0f),
+                                     -std::numeric_limits<float>::denorm_min()};
 
-  size_t accepted = 0;
-  size_t rejected = 0;
-  for (int trial = 0; trial < 600; ++trial) {
-    std::string bytes = base;
-    const int edits = 1 + static_cast<int>(rng.NextBounded(3));
-    for (int e = 0; e < edits && !bytes.empty(); ++e) {
-      const size_t at = rng.NextBounded(bytes.size());
-      switch (rng.NextBounded(5)) {
-        case 0:
-          bytes[at] = static_cast<char>(rng.NextBounded(256));
-          break;
-        case 1:
-          bytes.erase(at, 1 + rng.NextBounded(8));
-          break;
-        case 2:
-          bytes.insert(at, 1 + rng.NextBounded(8), static_cast<char>(rng.NextBounded(256)));
-          break;
-        case 3: {  // A count spliced over whatever field sits at `at`.
-          const uint64_t count = counts[rng.NextBounded(counts.size())];
-          const size_t width = rng.NextBool(0.5) ? 4 : 8;
-          if (at + width <= bytes.size()) {
-            std::memcpy(bytes.data() + at, &count, width);
+  for (const MapPrecision precision :
+       {MapPrecision::kFp32, MapPrecision::kFp16, MapPrecision::kInt8}) {
+    SCOPED_TRACE(static_cast<int>(precision));
+    ShardedMapStore source = FuzzStore(model, precision);
+    for (uint64_t id = 0; id < 10; ++id) {
+      source.Insert(FuzzRecord(model, rng, id));
+    }
+    std::ostringstream saved;
+    ASSERT_TRUE(SaveStore(source, saved).ok);
+    const std::string base = saved.str();
+
+    size_t accepted = 0;
+    size_t rejected = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+      std::string bytes = base;
+      const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int e = 0; e < edits && !bytes.empty(); ++e) {
+        const size_t at = rng.NextBounded(bytes.size());
+        switch (rng.NextBounded(6)) {
+          case 0:
+            bytes[at] = static_cast<char>(rng.NextBounded(256));
+            break;
+          case 1:
+            bytes.erase(at, 1 + rng.NextBounded(8));
+            break;
+          case 2:
+            bytes.insert(at, 1 + rng.NextBounded(8), static_cast<char>(rng.NextBounded(256)));
+            break;
+          case 3: {  // A count spliced over whatever field sits at `at`.
+            const uint64_t count = counts[rng.NextBounded(counts.size())];
+            const size_t width = rng.NextBool(0.5) ? 4 : 8;
+            if (at + width <= bytes.size()) {
+              std::memcpy(bytes.data() + at, &count, width);
+            }
+            break;
           }
-          break;
+          case 4: {  // A float spliced over whatever field sits at `at`.
+            const float value = values[rng.NextBounded(values.size())];
+            if (at + sizeof(value) <= bytes.size()) {
+              std::memcpy(bytes.data() + at, &value, sizeof(value));
+            }
+            break;
+          }
+          default:
+            bytes.resize(at);
+            break;
         }
-        default:
-          bytes.resize(at);
-          break;
       }
-    }
 
-    ShardedMapStore store = FuzzStore(model);
-    Rng prefill_rng(7);
-    for (uint64_t id = 100; id < 103; ++id) {
-      store.Insert(FuzzRecord(model, prefill_rng, id));
-    }
-    std::vector<uint64_t> before;
-    for (size_t i = 0; i < store.size(); ++i) {
-      before.push_back(store.Get(i).request_id);
-    }
-    const uint64_t generations = store.generation(0) + store.generation(1);
+      ShardedMapStore store = FuzzStore(model, precision);
+      Rng prefill_rng(7);
+      for (uint64_t id = 100; id < 103; ++id) {
+        store.Insert(FuzzRecord(model, prefill_rng, id));
+      }
+      std::vector<uint64_t> before;
+      for (size_t i = 0; i < store.size(); ++i) {
+        before.push_back(store.Get(i).request_id);
+      }
+      const uint64_t generations = store.generation(0) + store.generation(1);
 
-    std::istringstream in(bytes);
-    const StoreIoResult io = LoadStore(in, &store);
-    if (!io.ok) {
-      ++rejected;
-      ASSERT_FALSE(io.error.empty());
-      ASSERT_EQ(store.size(), before.size());
-      ASSERT_EQ(store.generation(0) + store.generation(1), generations);
-      for (size_t i = 0; i < before.size(); ++i) {
-        ASSERT_EQ(store.Get(i).request_id, before[i]);
+      std::istringstream in(bytes);
+      const StoreIoResult io = LoadStore(in, &store);
+      if (!io.ok) {
+        ++rejected;
+        ASSERT_FALSE(io.error.empty());
+        ASSERT_EQ(store.size(), before.size());
+        ASSERT_EQ(store.generation(0) + store.generation(1), generations);
+        for (size_t i = 0; i < before.size(); ++i) {
+          ASSERT_EQ(store.Get(i).request_id, before[i]);
+        }
+        continue;
       }
-      continue;
+      ++accepted;
+      ASSERT_LE(store.size(), store.capacity());
+      ASSERT_GE(store.size(), before.size());
+      for (size_t i = 0; i < store.size(); ++i) {
+        const StoredIteration& record = store.Get(i);
+        ASSERT_EQ(record.map.Flat().size(),
+                  static_cast<size_t>(model.num_layers * model.experts_per_layer));
+        for (const double p : record.map.Flat()) {
+          ASSERT_GE(p, 0.0);
+          ASSERT_LE(p, 1.0);
+        }
+        for (const double x : record.embedding) {
+          ASSERT_TRUE(std::isfinite(x));
+        }
+      }
+      // What the scans see stays finite too (an int8 column stretched to infinity used to
+      // decode every record of that column as NaN).
+      for (int s = 0; s < store.num_shards(); ++s) {
+        const ExpertMapStore& shard = store.shard(s);
+        for (size_t i = 0; i < shard.size(); ++i) {
+          for (const float v : shard.MapRow(i)) {
+            ASSERT_TRUE(std::isfinite(v));
+          }
+        }
+      }
+      const std::vector<double> query = {0.5, -0.25, 0.125, 1.0};
+      ASSERT_TRUE(store.SemanticSearch(query).found);
+      const std::span<const double> prefix = store.Get(size_t{0}).map.Flat().first(
+          static_cast<size_t>(model.experts_per_layer));
+      const SearchResult trajectory = store.TrajectorySearch(prefix, 1);
+      ASSERT_TRUE(trajectory.found);
+      ASSERT_TRUE(std::isfinite(trajectory.score));
     }
-    ++accepted;
-    ASSERT_LE(store.size(), store.capacity());
-    ASSERT_GE(store.size(), before.size());
-    for (size_t i = 0; i < store.size(); ++i) {
-      const StoredIteration& record = store.Get(i);
-      ASSERT_EQ(record.map.Flat().size(),
-                static_cast<size_t>(model.num_layers * model.experts_per_layer));
-      for (const double p : record.map.Flat()) {
-        ASSERT_TRUE(std::isfinite(p));
-      }
-      for (const double x : record.embedding) {
-        ASSERT_TRUE(std::isfinite(x));
-      }
-    }
-    const std::vector<double> query = {0.5, -0.25, 0.125, 1.0};
-    ASSERT_TRUE(store.SemanticSearch(query).found);
-    const std::span<const double> prefix = store.Get(size_t{0}).map.Flat().first(
-        static_cast<size_t>(model.experts_per_layer));
-    ASSERT_TRUE(store.TrajectorySearch(prefix, 1).found);
+    // Both outcomes must actually occur, or the fuzz is testing nothing.
+    EXPECT_GT(accepted, 30u);
+    EXPECT_GT(rejected, 30u);
   }
-  // Both outcomes must actually occur, or the fuzz is testing nothing.
-  EXPECT_GT(accepted, 30u);
-  EXPECT_GT(rejected, 30u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapStoreFileFuzzTest, ::testing::Values(5u, 67u, 1409u));

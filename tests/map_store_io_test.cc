@@ -3,6 +3,8 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,33 +32,43 @@ StoredIteration MakeRecord(uint64_t id, int iteration) {
 }
 
 TEST(MapStoreIoTest, RoundTripPreservesRecords) {
-  ExpertMapStore original(Tiny(), 8, 2);
-  for (uint64_t id = 0; id < 5; ++id) {
-    original.Insert(MakeRecord(id, static_cast<int>(id) + 1));
-  }
-  std::stringstream stream;
-  const StoreIoResult saved = SaveStore(original, stream);
-  ASSERT_TRUE(saved.ok) << saved.error;
-  EXPECT_EQ(saved.records, 5u);
-  EXPECT_GT(saved.bytes, 0u);
-
-  ExpertMapStore loaded(Tiny(), 8, 2);
-  const StoreIoResult read = LoadStore(stream, &loaded);
-  ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_EQ(read.records, 5u);
-  ASSERT_EQ(loaded.size(), 5u);
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.Get(i).request_id, original.Get(i).request_id);
-    EXPECT_EQ(loaded.Get(i).iteration, original.Get(i).iteration);
-    // Values survive the double -> float -> double round trip within float precision.
-    for (int layer = 0; layer < Tiny().num_layers; ++layer) {
-      for (int j = 0; j < Tiny().experts_per_layer; ++j) {
-        EXPECT_NEAR(loaded.Get(i).map.Probability(layer, j),
-                    original.Get(i).map.Probability(layer, j), 1e-6);
-      }
+  // Every precision the store saves at loads back, boundary probabilities 0 and 1 included,
+  // with each value within that precision's rounding of the original.
+  const std::vector<std::pair<MapPrecision, double>> precisions = {
+      {MapPrecision::kFp32, 1e-6}, {MapPrecision::kFp16, 5e-4}, {MapPrecision::kInt8, 5e-3}};
+  for (const auto& [precision, tolerance] : precisions) {
+    SCOPED_TRACE(static_cast<int>(precision));
+    ExpertMapStore original(Tiny(), 8, 2, StoreDedupPolicy::kRedundancy, precision);
+    for (uint64_t id = 0; id < 5; ++id) {
+      StoredIteration record = MakeRecord(id, static_cast<int>(id) + 1);
+      std::vector<double> edges(static_cast<size_t>(Tiny().experts_per_layer), 0.0);
+      edges[id % edges.size()] = 1.0;
+      record.map.SetLayer(0, edges);
+      original.Insert(std::move(record));
     }
-    ASSERT_EQ(loaded.Get(i).embedding.size(), original.Get(i).embedding.size());
-    EXPECT_NEAR(loaded.Get(i).embedding[0], original.Get(i).embedding[0], 1e-6);
+    std::stringstream stream;
+    const StoreIoResult saved = SaveStore(original, stream);
+    ASSERT_TRUE(saved.ok) << saved.error;
+    EXPECT_EQ(saved.records, 5u);
+    EXPECT_GT(saved.bytes, 0u);
+
+    ExpertMapStore loaded(Tiny(), 8, 2, StoreDedupPolicy::kRedundancy, precision);
+    const StoreIoResult read = LoadStore(stream, &loaded);
+    ASSERT_TRUE(read.ok) << read.error;
+    EXPECT_EQ(read.records, 5u);
+    ASSERT_EQ(loaded.size(), 5u);
+    for (size_t i = 0; i < loaded.size(); ++i) {
+      EXPECT_EQ(loaded.Get(i).request_id, original.Get(i).request_id);
+      EXPECT_EQ(loaded.Get(i).iteration, original.Get(i).iteration);
+      for (int layer = 0; layer < Tiny().num_layers; ++layer) {
+        for (int j = 0; j < Tiny().experts_per_layer; ++j) {
+          EXPECT_NEAR(loaded.Get(i).map.Probability(layer, j),
+                      original.Get(i).map.Probability(layer, j), tolerance);
+        }
+      }
+      ASSERT_EQ(loaded.Get(i).embedding.size(), original.Get(i).embedding.size());
+      EXPECT_NEAR(loaded.Get(i).embedding[0], original.Get(i).embedding[0], 1e-6);
+    }
   }
 }
 
@@ -232,6 +244,39 @@ TEST(MapStoreIoTest, NonFiniteValueIsRejected) {
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.error.find("non-finite"), std::string::npos);
   EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(MapStoreIoTest, OutOfRangeProbabilityIsRejected) {
+  const size_t map_size =
+      static_cast<size_t>(Tiny().num_layers) * static_cast<size_t>(Tiny().experts_per_layer);
+  const size_t embedding_bytes = 3 * sizeof(float);  // MakeRecord's embedding.
+  // fp32: the record's first map value, just past the request id and iteration.
+  ExpertMapStore fp32(Tiny(), 4, 1);
+  fp32.Insert(MakeRecord(1, 1));
+  std::stringstream fp32_stream;
+  ASSERT_TRUE(SaveStore(fp32, fp32_stream).ok);
+  const size_t first_value = fp32_stream.str().size() - embedding_bytes - map_size * sizeof(float);
+  // int8: the first column's offset, which every record of that column decodes against.
+  ExpertMapStore int8(Tiny(), 4, 1, StoreDedupPolicy::kRedundancy, MapPrecision::kInt8);
+  int8.Insert(MakeRecord(1, 1));
+  std::stringstream int8_stream;
+  ASSERT_TRUE(SaveStore(int8, int8_stream).ok);
+  const size_t record_bytes = sizeof(uint64_t) + sizeof(int32_t) + map_size + embedding_bytes;
+  const size_t first_offset = int8_stream.str().size() - record_bytes - map_size * sizeof(float);
+
+  for (const float bad : {1.5f, -1.0f, std::numeric_limits<float>::max()}) {
+    for (const auto& [base, at] : {std::pair{fp32_stream.str(), first_value},
+                                   std::pair{int8_stream.str(), first_offset}}) {
+      std::string bytes = base;
+      Poke<float>(&bytes, at, bad);
+      std::istringstream in(bytes);
+      ExpertMapStore store(Tiny(), 4, 1);
+      const StoreIoResult read = LoadStore(in, &store);
+      EXPECT_FALSE(read.ok) << bad;
+      EXPECT_NE(read.error.find("outside [0, 1]"), std::string::npos) << read.error;
+      EXPECT_EQ(store.size(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -33,6 +33,20 @@ TEST(ExpertMapStoreTest, FillsToCapacity) {
   EXPECT_EQ(store.size(), 3u);
 }
 
+TEST(ExpertMapStoreTest, InsertRejectsProbabilitiesOutsideUnitRange) {
+  ExpertMapStore store(Tiny(), 4, 1, StoreDedupPolicy::kRedundancy, MapPrecision::kInt8);
+  StoredIteration huge = MakeRecord(7, 0);
+  std::vector<double> row(static_cast<size_t>(Tiny().experts_per_layer), 0.0);
+  row[0] = 3.0e38;
+  huge.map.SetLayer(0, row);
+  EXPECT_DEATH(store.Insert(huge), "outside \\[0, 1\\]");
+  StoredIteration negative = MakeRecord(8, 0);
+  row[0] = -0.5;
+  negative.map.SetLayer(0, row);
+  EXPECT_DEATH(store.Insert(negative), "outside \\[0, 1\\]");
+  EXPECT_EQ(store.size(), 0u);
+}
+
 TEST(ExpertMapStoreTest, DedupReplacesMostRedundantRecord) {
   ExpertMapStore store(Tiny(), 2, 1);
   store.Insert(MakeRecord(1, 0, 1.0, 0.0));  // Spike at expert 0, embedding (1,0).

@@ -468,8 +468,7 @@ TEST(FloatKernelTest, AccumulateColumnsCrossesTileAndFlushBoundaries) {
 }
 
 TEST(FloatKernelTest, AccumulateColumnsIsPartitionIndependent) {
-  // Computing [0, count) in one call must be bitwise identical to computing two sub-ranges —
-  // the property the store's deterministic search_threads partitioning relies on.
+  // Computing [0, count) in one call must be bitwise identical to computing two sub-ranges.
   const size_t count = 1000;
   const std::vector<float> coeffs = {0.5f, -1.25f, 2.0f, 0.125f};
   std::vector<float> cols(coeffs.size() * count);

@@ -1,7 +1,7 @@
 // Concurrency suite for the sharded Expert Map Store (DESIGN.md §5i), written to run under
 // ThreadSanitizer: concurrent inserters routed across shards, trajectory sessions reading
-// while inserts land, and pooled partitioned scans. The per-shard shared_mutex contract says
-// all of these may interleave freely; TSan verifies no unlocked shared state.
+// while inserts land, and semantic searches from several callers. The per-shard shared_mutex
+// contract says all of these may interleave freely; TSan verifies no unlocked shared state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include "src/core/shard_router.h"
 #include "src/core/sharded_store.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace fmoe {
 namespace {
@@ -140,65 +139,6 @@ TEST(ShardConcurrencyTest, ConcurrentSemanticSearchesWithInserts) {
   for (std::thread& thread : threads) {
     thread.join();
   }
-}
-
-// The shared scan pool: many partitioned scans from several caller threads at once. Each
-// RunChunks call has its own completion latch, so callers never steal each other's wake-ups.
-TEST(ShardConcurrencyTest, PooledPartitionedScansFromManyCallers) {
-  const ModelConfig model = Tiny();
-  ShardedMapStore store(model, 4096, 2, StoreDedupPolicy::kFifo, MapPrecision::kFp32, 1,
-                        kSemanticRouterSeed);
-  Rng seed_rng(4);
-  for (int i = 0; i < 2048; ++i) {
-    store.Insert(RandomRecord(model, seed_rng, static_cast<uint64_t>(i)));
-  }
-  store.set_search_threads(4);  // Push scans through SharedScanPool().
-
-  std::vector<std::thread> callers;
-  std::vector<SearchResult> results(4);
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&store, &results, t] {
-      Rng rng(static_cast<uint64_t>(40 + t));
-      SearchResult last;
-      for (int i = 0; i < 16; ++i) {
-        const std::vector<double> query = {rng.NextGaussian(), rng.NextGaussian()};
-        last = store.SemanticSearch(query);
-      }
-      results[static_cast<size_t>(t)] = last;
-    });
-  }
-  for (std::thread& caller : callers) {
-    caller.join();
-  }
-  for (const SearchResult& result : results) {
-    EXPECT_TRUE(result.found);
-  }
-
-  // Determinism across thread counts: the pooled scan must agree with the serial one.
-  Rng rng(77);
-  const std::vector<double> query = {rng.NextGaussian(), rng.NextGaussian()};
-  const SearchResult pooled = store.SemanticSearch(query);
-  store.set_search_threads(1);
-  const SearchResult serial = store.SemanticSearch(query);
-  EXPECT_EQ(serial.found, pooled.found);
-  EXPECT_EQ(serial.index, pooled.index);
-  EXPECT_EQ(serial.score, pooled.score);
-}
-
-TEST(ShardConcurrencyTest, RunChunksMatchesInlineExecution) {
-  ThreadPool& pool = SharedScanPool();
-  constexpr size_t kCount = 10000;
-  std::vector<int> pooled(kCount, 0);
-  pool.RunChunks(kCount, 4, [&pooled](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      pooled[i] = static_cast<int>(i % 7);
-    }
-  });
-  std::vector<int> inline_run(kCount, 0);
-  for (size_t i = 0; i < kCount; ++i) {
-    inline_run[i] = static_cast<int>(i % 7);
-  }
-  EXPECT_EQ(inline_run, pooled);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 // speculative staging, demand fills, GPU-fill planning, victim demotion, frequency decay, and
 // link ticks. After every operation the invariants that define tier correctness must hold:
 //
-//   * Consistent tier bookkeeping — stage maps are mutual inverses, host-backed staging
-//     entries stay pending+pinned on their tag, transient stagings own no host entry
-//     (TieredExpertStore::BookkeepingConsistent), and host occupancy never exceeds capacity.
+//   * Consistent tier bookkeeping — every staging is queued on the NVMe link exactly once
+//     under its key, host-backed staging entries stay pending+pinned, transient stagings own
+//     no host entry (TieredExpertStore::BookkeepingConsistent), and host occupancy never
+//     exceeds capacity.
 //   * No NVMe→GPU teleport — with allow_direct_nvme_gpu off, PlanGpuFill never routes
 //     kDirect: every fill is served from a host copy (kFromHost) or chained behind an
 //     NVMe→host staging (kChained). kFromHost additionally requires actual host residency.
@@ -45,7 +46,7 @@ struct FuzzConfig {
 // Independent transfer ledger the link's own accounting must reconcile against.
 struct Ledger {
   uint64_t demand_loads = 0;    // EnsureHostSide(kNvme) + DirectDemand calls.
-  uint64_t direct_fills = 0;    // Engine-owned transfers we enqueued for kDirect routes.
+  uint64_t direct_fills = 0;    // Direct NVMe→GPU fills we enqueued for kDirect routes.
   uint64_t stage_hook_fires = 0;
   uint64_t direct_hook_fires = 0;
 };
@@ -60,14 +61,17 @@ void RunSchedule(const FuzzConfig& fuzz) {
   TieredExpertStore store(kGpuCapacity, gpu_policy.get(), config);
 
   Ledger ledger;
-  store.set_stage_scheduled_hook(
-      [&](uint64_t, uint64_t, double) { ++ledger.stage_hook_fires; });
-  store.set_direct_scheduled_hook([&](uint64_t, double) { ++ledger.direct_hook_fires; });
+  store.set_stage_scheduled_hook([&](uint64_t, double) { ++ledger.stage_hook_fires; });
+  // A direct fill holds a pinned pending GPU entry until its transfer starts, as in the
+  // engine; that is what stops StageToHost from queueing a staging under the same key.
+  store.set_direct_scheduled_hook([&](uint64_t key, double) {
+    ++ledger.direct_hook_fires;
+    store.gpu().Unpin(key);
+    ASSERT_TRUE(store.gpu().Remove(key, nullptr));
+  });
 
   Rng rng(fuzz.seed);
   double now = 0.0;
-  // Engine-owned tags for direct NVMe→GPU transfers live far above the store's stage tags.
-  uint64_t next_direct_tag = 1ull << 32;
 
   for (int op = 0; op < fuzz.ops; ++op) {
     now += rng.NextDouble() * 1e-4;
@@ -86,26 +90,40 @@ void RunSchedule(const FuzzConfig& fuzz) {
         }
         break;
       }
-      case 2: {  // Plan the source side of a GPU prefetch.
+      case 2: {  // Plan the source side of a GPU prefetch for a key the GPU tier lacks.
+        CacheEntry pending;
+        pending.key = key;
+        pending.bytes = kExpertBytes;
+        pending.pin_count = 1;
+        if (!store.gpu().Insert(pending, now, nullptr)) {
+          break;  // Already GPU-side, or every slot holds a queued direct fill.
+        }
         double earliest = 0.0;
-        uint64_t stage_tag = 0;
-        const TieredExpertStore::FillRoute route =
-            store.PlanGpuFill(key, kExpertBytes, now, rng.NextDouble(), &earliest, &stage_tag);
+        const FillRoute route =
+            store.PlanGpuFill(key, kExpertBytes, now, rng.NextDouble(), &earliest);
         switch (route) {
-          case TieredExpertStore::FillRoute::kFromHost:
+          case FillRoute::kFromHost:
             ASSERT_TRUE(store.HostResident(key)) << "op " << op;
             ASSERT_GE(earliest, now) << "op " << op;
             break;
-          case TieredExpertStore::FillRoute::kChained:
-            ASSERT_NE(stage_tag, 0u) << "op " << op;
+          case FillRoute::kChained:
+            // The staging feeding the hop is queued, or started this instant on an idle link.
+            ASSERT_TRUE(store.StagePending(key) || store.nvme_link().busy_until() > now)
+                << "op " << op;
             break;
-          case TieredExpertStore::FillRoute::kDirect:
+          case FillRoute::kDirect:
             // The no-teleport property: only a configured direct path may route kDirect.
             ASSERT_TRUE(fuzz.allow_direct) << "NVMe->GPU teleport without host staging, op "
                                            << op;
-            store.nvme_link().EnqueuePrefetch(now, next_direct_tag++, kExpertBytes);
+            ASSERT_FALSE(store.StagePending(key)) << "op " << op;
+            store.nvme_link().EnqueuePrefetch(now, key, kExpertBytes);
             ++ledger.direct_fills;
             break;
+        }
+        if (route != FillRoute::kDirect) {
+          // The hop runs on a device link this driver does not model.
+          store.gpu().Unpin(key);
+          ASSERT_TRUE(store.gpu().Remove(key, nullptr));
         }
         break;
       }
@@ -145,6 +163,7 @@ void RunSchedule(const FuzzConfig& fuzz) {
   ASSERT_TRUE(store.BookkeepingConsistent());
   EXPECT_EQ(store.pending_stage_count(), 0u);
   EXPECT_EQ(store.nvme_link().queued_prefetch_count(), 0u);
+  EXPECT_EQ(store.gpu().size(), 0u) << "every direct fill started";
 
   const TierStats& stats = store.stats();
   // Every issued staging either landed (its NVMe transfer started) or was promoted to a
@@ -224,17 +243,14 @@ TEST(TieredStoreTest, DisabledStoreIsInert) {
   const double now = 2.5;
   store.Tick(now);
   double earliest = -1.0;
-  uint64_t stage_tag = 7;
-  EXPECT_EQ(store.PlanGpuFill(1, kExpertBytes, now, 0.5, &earliest, &stage_tag),
-            TieredExpertStore::FillRoute::kFromHost);
+  EXPECT_EQ(store.PlanGpuFill(1, kExpertBytes, now, 0.5, &earliest), FillRoute::kFromHost);
   EXPECT_EQ(earliest, now);
-  EXPECT_EQ(stage_tag, 7u);  // Untouched: nothing to chain on.
   EXPECT_FALSE(store.DemandGoesDirect(1));
   StallTier source = StallTier::kNvme;
   EXPECT_EQ(store.EnsureHostSide(1, kExpertBytes, now, &source), now);
   EXPECT_EQ(source, StallTier::kHost);
   EXPECT_EQ(store.HostAvailableAt(1, now), now);
-  EXPECT_EQ(store.StageToHost(2, kExpertBytes, now, 0.5), 0u);
+  EXPECT_FALSE(store.StageToHost(2, kExpertBytes, now, 0.5));
   CacheEntry victim;
   victim.key = 3;
   victim.bytes = kExpertBytes;
@@ -266,8 +282,7 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
 
   // Occupy the link first: an idle link starts (and thus lands) a staging immediately.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
-  const uint64_t tag = store.StageToHost(7, kExpertBytes, 0.0, 0.9);
-  ASSERT_NE(tag, 0u);
+  ASSERT_TRUE(store.StageToHost(7, kExpertBytes, 0.0, 0.9));
   EXPECT_EQ(store.pending_stage_count(), 1u);
 
   // Promote while the staging is still queued: the prefetch is cancelled, a demand load runs.
@@ -281,9 +296,7 @@ TEST(TieredStoreTest, QueuedStagePromotesToDemandLoadOnce) {
 
   // The promoted copy is now a committed host entry: the next fill is a host hit.
   double earliest = 0.0;
-  uint64_t stage_tag = 0;
-  EXPECT_EQ(store.PlanGpuFill(7, kExpertBytes, 0.0, 0.9, &earliest, &stage_tag),
-            TieredExpertStore::FillRoute::kFromHost);
+  EXPECT_EQ(store.PlanGpuFill(7, kExpertBytes, 0.0, 0.9, &earliest), FillRoute::kFromHost);
   EXPECT_EQ(earliest, ready);
   EXPECT_TRUE(store.BookkeepingConsistent());
 }
@@ -298,16 +311,14 @@ TEST(TieredStoreTest, HostPoolFullOfPinnedStagesFallsBackToTransient) {
   // Occupy the link so the stagings stay queued — and therefore pinned.
   store.nvme_link().DemandLoad(0.0, kExpertBytes);
   // Fill the pool with pinned (queued) stagings.
-  ASSERT_NE(store.StageToHost(1, kExpertBytes, 0.0, 0.5), 0u);
-  ASSERT_NE(store.StageToHost(2, kExpertBytes, 0.0, 0.5), 0u);
+  ASSERT_TRUE(store.StageToHost(1, kExpertBytes, 0.0, 0.5));
+  ASSERT_TRUE(store.StageToHost(2, kExpertBytes, 0.0, 0.5));
   // A speculative staging that cannot be host-backed is dropped...
-  EXPECT_EQ(store.StageToHost(3, kExpertBytes, 0.0, 0.5), 0u);
+  EXPECT_FALSE(store.StageToHost(3, kExpertBytes, 0.0, 0.5));
   // ...but a GPU fill never fails: it rides a transient bounce buffer instead.
   double earliest = 0.0;
-  uint64_t stage_tag = 0;
-  EXPECT_EQ(store.PlanGpuFill(3, kExpertBytes, 0.0, 0.5, &earliest, &stage_tag),
-            TieredExpertStore::FillRoute::kChained);
-  EXPECT_NE(stage_tag, 0u);
+  EXPECT_EQ(store.PlanGpuFill(3, kExpertBytes, 0.0, 0.5, &earliest), FillRoute::kChained);
+  EXPECT_TRUE(store.StagePending(3));
   EXPECT_FALSE(store.HostResident(3));
   EXPECT_TRUE(store.BookkeepingConsistent());
 

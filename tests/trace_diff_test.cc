@@ -5,12 +5,14 @@
 // WriteChromeTraceJson), so the comparator tracks the exporter's actual schema.
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/obs/perfetto_export.h"
 #include "src/obs/trace_recorder.h"
 #include "src/tools/trace_diff_lib.h"
+#include "src/util/rng.h"
 
 namespace fmoe {
 namespace {
@@ -125,6 +127,83 @@ TEST(TraceDiffTest, MissingFileIsAnError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("cannot read"), std::string::npos);
 }
+
+// Seeded byte-mutation fuzz of the JSON reader, modelled on TraceCsvFuzzTest: every mutant of
+// a real exported trace must yield either an error or a verdict — never a crash, a hang, or
+// an error and a verdict at once — and a verdict must be reproducible and self-consistent.
+class TraceDiffJsonFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+void ExpectErrorOrVerdict(const TraceDiffResult& result, const std::string& mutant) {
+  if (!result.ok) {
+    ASSERT_FALSE(result.error.empty()) << mutant;
+    return;
+  }
+  ASSERT_TRUE(result.error.empty()) << mutant;
+  if (result.identical) {
+    ASSERT_TRUE(result.kind.empty()) << mutant;
+  } else {
+    ASSERT_TRUE(result.kind == "event-field" || result.kind == "event-count" ||
+                result.kind == "stall-attribution")
+        << result.kind << "\n" << mutant;
+  }
+}
+
+TEST_P(TraceDiffJsonFuzzTest, EveryMutantGivesAnErrorOrAVerdict) {
+  Rng rng(GetParam());
+  const std::string base = ExportTrace(MakeRecorder(0.0025), "run");
+  const std::string alphabet = "{}[]\":,.-+eE0123456789 \n\\tfnul";
+  const std::vector<std::string> tokens = {
+      "\"", "\\", "\\u", "\\u00zz", "\\x", "1e999", "-", "-0", "nan", "null", "true",
+      ",", ":", "[]", "{}", "\"ts\":", "\"ph\":\"M\",", std::string(100000, '['),
+      std::string(3000, '{')};
+
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::string mutant = base;
+    const int edits = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      const size_t at = rng.NextBounded(mutant.size());
+      switch (rng.NextBounded(5)) {
+        case 0:
+          mutant[at] = alphabet[rng.NextBounded(alphabet.size())];
+          break;
+        case 1:
+          mutant[at] = static_cast<char>(rng.NextBounded(256));
+          break;
+        case 2:
+          mutant.erase(at, 1 + rng.NextBounded(4));
+          break;
+        case 3:
+          mutant.insert(at, tokens[rng.NextBounded(tokens.size())]);
+          break;
+        default:
+          mutant.resize(at);
+          break;
+      }
+    }
+    const TraceDiffResult forward = DiffTraceJson(base, mutant);
+    ExpectErrorOrVerdict(forward, mutant);
+    const TraceDiffResult backward = DiffTraceJson(mutant, base);
+    ExpectErrorOrVerdict(backward, mutant);
+    ASSERT_EQ(forward.ok, backward.ok) << mutant;
+    RenderTraceDiff(forward, "base", "mutant");
+    if (!forward.ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(forward.identical, backward.identical) << mutant;
+    const TraceDiffResult self = DiffTraceJson(mutant, mutant);
+    ASSERT_TRUE(self.ok) << self.error;
+    ASSERT_TRUE(self.identical) << mutant;
+  }
+  // Both outcomes must actually occur, or the fuzz is testing nothing.
+  EXPECT_GT(accepted, 30u);
+  EXPECT_GT(rejected, 30u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceDiffJsonFuzzTest, ::testing::Values(11u, 503u, 2026u));
 
 }  // namespace
 }  // namespace fmoe
