@@ -19,8 +19,6 @@
 //   --jobs N     Worker threads for the plan runner (0 = one per hardware thread); output is
 //                byte-identical for any value.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -197,20 +195,13 @@ int Run(bool small, const std::string& json_path, int jobs) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: bench_admission [--small] [--json PATH] [--jobs N]\n");
-      return 1;
-    }
+  fmoe::bench::GateArgs args;
+  int exit_code = 0;
+  if (!fmoe::bench::ParseGateArgs(argc, argv, "bench_admission",
+                                  "Closed-loop vs open-loop admission under burst and "
+                                  "sustained overload",
+                                  /*with_jobs=*/true, &args, &exit_code)) {
+    return exit_code;
   }
-  return fmoe::Run(small, json_path, jobs);
+  return fmoe::Run(args.small, args.json, args.jobs);
 }

@@ -15,12 +15,10 @@
 //   --json PATH  Also write the results as JSON to PATH.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/cache/expert_cache.h"
 #include "src/harness/experiment.h"
 #include "src/harness/systems.h"
@@ -127,20 +125,7 @@ E2eRow RunE2e(const char* system, const ModelConfig& model, const char* tag) {
   return row;
 }
 
-int Main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_cache [--small] [--json PATH]\n");
-      return 1;
-    }
-  }
-
+int Run(bool small, const std::string& json_path) {
   const std::vector<size_t> resident_counts =
       small ? std::vector<size_t>{256, 1024} : std::vector<size_t>{256, 1024, 4096};
   const int ops = small ? 4000 : 20000;
@@ -175,8 +160,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.iterations), row.iters_per_sec);
   }
 
-  if (!json_path.empty()) {
-    std::ostringstream out;
+  const auto write_json = [&](std::ostream& out) {
     out << "{\n  \"micro_victim_selection\": [\n";
     for (size_t i = 0; i < micro.size(); ++i) {
       const MicroRow& r = micro[i];
@@ -198,8 +182,11 @@ int Main(int argc, char** argv) {
           << (i + 1 < e2e.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    std::ofstream file(json_path);
-    file << out.str();
+  };
+  if (!json_path.empty()) {
+    if (!bench::WriteJsonFile(json_path, write_json)) {
+      return 1;
+    }
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
@@ -208,4 +195,14 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace fmoe
 
-int main(int argc, char** argv) { return fmoe::Main(argc, argv); }
+int main(int argc, char** argv) {
+  fmoe::bench::GateArgs args;
+  int exit_code = 0;
+  if (!fmoe::bench::ParseGateArgs(argc, argv, "bench_cache",
+                                  "Victim-selection microbenchmark and end-to-end engine "
+                                  "throughput",
+                                  /*with_jobs=*/false, &args, &exit_code)) {
+    return exit_code;
+  }
+  return fmoe::Run(args.small, args.json);
+}

@@ -1,123 +1,45 @@
 #include "bench/bench_common.h"
 
-#include <cstdio>
 #include <fstream>
 
-#include "src/obs/perfetto_export.h"
-#include "src/obs/stall_report.h"
-#include "src/obs/trace_recorder.h"
 #include "src/util/flags.h"
 
 namespace fmoe {
 namespace bench {
-namespace {
-
-std::string G9(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-// The --oracle gap table: one row per plan task, labelled by its tags (plan index as a
-// fallback), leading with the headline "% of clairvoyant optimum" figure.
-void PrintOracleTable(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
-                      std::ostream& out) {
-  PrintBanner(out, "Clairvoyant optimality gap (DESIGN.md 5k)");
-  AsciiTable table({"task", "system", "% of optimum", "miss gap", "stall gap",
-                    "policy stall (ms)", "oracle stall (ms)"});
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ExperimentResult& result = results[i];
-    if (!result.oracle_enabled) {
-      continue;
-    }
-    std::string label = std::to_string(i);
-    for (const std::string& tag : plan.tasks()[i].tags) {
-      label += " " + tag;
-    }
-    const OracleReport& o = result.oracle;
-    table.AddRow({label, result.system, AsciiTable::Num(o.pct_of_clairvoyant, 1),
-                  AsciiTable::Num(o.miss_gap, 3), AsciiTable::Num(o.stall_gap, 3),
-                  Ms(o.policy_stall_s), Ms(o.oracle_stall_s)});
-  }
-  table.Print(out);
-}
-
-// The --oracle_out document: the same per-task gap numbers, machine-readable.
-void WriteOracleJson(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,
-                     const std::string& program, std::ostream& out) {
-  out << "{\"program\":\"" << program << "\",\"tasks\":[";
-  bool first = true;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ExperimentResult& result = results[i];
-    if (!result.oracle_enabled) {
-      continue;
-    }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    const OracleReport& o = result.oracle;
-    out << "{\"task\":" << i << ",\"system\":\"" << result.system << "\",\"tags\":[";
-    const std::vector<std::string>& tags = plan.tasks()[i].tags;
-    for (size_t t = 0; t < tags.size(); ++t) {
-      out << "\"" << tags[t] << "\"";
-      if (t + 1 < tags.size()) {
-        out << ",";
-      }
-    }
-    out << "],\"oracle\":{";
-    out << "\"accesses\":" << o.accesses << ",";
-    out << "\"policy_hits\":" << o.policy_hits << ",";
-    out << "\"policy_misses\":" << o.policy_misses << ",";
-    out << "\"oracle_fetches\":" << o.oracle_fetches << ",";
-    out << "\"oracle_hits\":" << o.oracle_hits << ",";
-    out << "\"oracle_misses\":" << o.oracle_misses << ",";
-    out << "\"policy_stall_s\":" << G9(o.policy_stall_s) << ",";
-    out << "\"oracle_stall_s\":" << G9(o.oracle_stall_s) << ",";
-    out << "\"miss_gap\":" << G9(o.miss_gap) << ",";
-    out << "\"stall_gap\":" << G9(o.stall_gap) << ",";
-    out << "\"pct_of_clairvoyant\":" << G9(o.pct_of_clairvoyant);
-    out << "}}";
-  }
-  out << "]}\n";
-}
-
-}  // namespace
 
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
                     const std::string& description, BenchEnv* env, int* exit_code) {
   FlagParser flags(program, description);
-  flags.AddInt("jobs", 1,
-               "worker threads for the experiment runner (0 = one per hardware thread); "
-               "output is byte-identical for any value");
+  AddObserveFlags(flags);
   flags.AddString("out_json", "",
                   "also write a machine-readable report (plan + results) to this path");
-  flags.AddString("trace_out", "",
-                  "write a Chrome trace-event JSON (Perfetto-loadable) of one task here; "
-                  "stdout is unaffected");
-  flags.AddInt("trace_task", 0, "plan index of the task --trace_out covers (default 0)");
-  flags.AddBool("oracle", false,
-                "run the clairvoyant oracle on every task and append a \"% of clairvoyant "
-                "optimum\" gap table to stdout (DESIGN.md 5k)");
-  flags.AddString("oracle_out", "",
-                  "write a compact per-task optimality-gap JSON here (implies --oracle)");
-  std::string error;
-  if (!flags.Parse(argc, argv, &error)) {
-    if (flags.help_requested()) {
-      std::cout << flags.Usage();
-      *exit_code = 0;
-    } else {
-      std::cerr << "error: " << error << "\n\n" << flags.Usage();
-      *exit_code = 1;
-    }
+  if (!flags.ParseCommandLine(argc, argv, exit_code)) {
     return false;
   }
-  env->jobs = static_cast<int>(flags.GetInt("jobs"));
+  env->observe = ReadObserveFlags(flags);
   env->out_json = flags.GetString("out_json");
-  env->trace_out = flags.GetString("trace_out");
-  env->trace_task = static_cast<int>(flags.GetInt("trace_task"));
-  env->oracle_out = flags.GetString("oracle_out");
-  env->oracle = flags.GetBool("oracle") || !env->oracle_out.empty();
+  return true;
+}
+
+bool ParseGateArgs(int argc, const char* const* argv, const std::string& program,
+                   const std::string& description, bool with_jobs, GateArgs* args,
+                   int* exit_code) {
+  FlagParser flags(program, description);
+  flags.AddBool("small", false, "CI smoke configuration: a smaller run of the same checks");
+  flags.AddString("json", "", "also write the results as JSON to this path");
+  if (with_jobs) {
+    flags.AddInt("jobs", 1,
+                 "worker threads for the plan runner (0 = one per hardware thread); output is "
+                 "byte-identical for any value");
+  }
+  if (!flags.ParseCommandLine(argc, argv, exit_code)) {
+    return false;
+  }
+  args->small = flags.GetBool("small");
+  args->json = flags.GetString("json");
+  if (with_jobs) {
+    args->jobs = static_cast<int>(flags.GetInt("jobs"));
+  }
   return true;
 }
 
@@ -129,66 +51,19 @@ int BenchMain(int argc, const char* const* argv, const std::string& program,
   if (!ParseBenchArgs(argc, argv, program, description, &env, &exit_code)) {
     return exit_code;
   }
-
   ExperimentPlan plan;
   declare(plan);
-  if (env.oracle) {
-    // Plan-wide knob: every task records its gate-decision tape. Off (the default), nothing
-    // below this line changes and stdout/--out_json stay byte-identical to a pre-oracle run.
-    for (ExperimentTask& task : plan.mutable_tasks()) {
-      task.options.oracle = true;
-    }
-  }
-
-  RunnerOptions runner;
-  runner.jobs = env.jobs;
-  TraceRecorder recorder;
-  if (!env.trace_out.empty()) {
-    if (env.trace_task < 0 || static_cast<size_t>(env.trace_task) >= plan.tasks().size()) {
-      std::cerr << "error: --trace_task " << env.trace_task << " out of range (plan has "
-                << plan.tasks().size() << " tasks)\n";
-      return 1;
-    }
-    runner.trace = &recorder;
-    runner.trace_task = static_cast<size_t>(env.trace_task);
-  }
-  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
-
-  render(results, std::cout);
-  if (env.oracle) {
-    PrintOracleTable(plan, results, std::cout);
-  }
-  if (!env.oracle_out.empty()) {
-    const bool ok = WriteJsonFile(env.oracle_out, [&](std::ostream& out) {
-      WriteOracleJson(plan, results, program, out);
-    });
-    if (!ok) {
-      return 1;
-    }
-  }
-
-  if (!env.trace_out.empty()) {
-    const ExperimentTask& traced = plan.tasks()[runner.trace_task];
-    const std::string process_name =
-        program + " [" + std::to_string(runner.trace_task) + "] " + traced.system;
-    if (!WriteChromeTraceFile(recorder, process_name, env.trace_out)) {
-      return 1;
-    }
-    // Stall attribution goes to stderr so stdout stays byte-identical to an untraced run.
-    std::cerr << "trace: " << recorder.events().size() << " events -> " << env.trace_out
-              << " (load in ui.perfetto.dev or chrome://tracing)\n"
-              << RenderStallReport(recorder.stall());
-  }
-
-  if (!env.out_json.empty()) {
-    const bool ok = WriteJsonFile(env.out_json, [&](std::ostream& out) {
-      WritePlanReportJson(plan, results, /*include_latencies=*/false, out);
-    });
-    if (!ok) {
-      return 1;
-    }
-  }
-  return 0;
+  return RunObserved(program, plan, env.observe, std::cout,
+                     [&](const std::vector<ExperimentResult>& results) {
+                       render(results, std::cout);
+                       if (env.out_json.empty()) {
+                         return 0;
+                       }
+                       const bool ok = WriteJsonFile(env.out_json, [&](std::ostream& out) {
+                         WritePlanReportJson(plan, results, /*include_latencies=*/false, out);
+                       });
+                       return ok ? 0 : 1;
+                     });
 }
 
 bool WriteJsonFile(const std::string& path, const std::function<void(std::ostream&)>& write) {

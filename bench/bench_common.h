@@ -2,11 +2,11 @@
 //
 // Every bench is a declarative ExperimentPlan (src/harness/plan.h) plus a render function
 // over the ordered result vector; BenchMain supplies the shared control flow — flag parsing
-// (--jobs, --out_json), the deterministic parallel runner, and machine-readable output via
-// the harness/report writers. Requests are sized so the full suite finishes in minutes on
-// one core; absolute latencies come from the analytic hardware model (DESIGN.md §2), and what
-// each bench must reproduce is the *shape* of the corresponding paper figure, stated in a
-// trailing "expected shape" note.
+// (--out_json plus the observation flags of harness/observe.h), the deterministic parallel
+// runner, and machine-readable output via the harness/report writers. Requests are sized so
+// the full suite finishes in minutes on one core; absolute latencies come from the analytic
+// hardware model (DESIGN.md §2), and what each bench must reproduce is the *shape* of the
+// corresponding paper figure, stated in a trailing "expected shape" note.
 //
 // Determinism: rendering sees results in plan order no matter how many jobs ran, so a bench's
 // stdout is byte-identical for --jobs=1 and --jobs=N (DESIGN.md §5e).
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/harness/observe.h"
 #include "src/harness/plan.h"
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
@@ -27,33 +28,40 @@
 namespace fmoe {
 namespace bench {
 
-// Shared bench flags.
+// Shared bench flags: the plan-run observation flags (src/harness/observe.h) plus --out_json.
 struct BenchEnv {
-  int jobs = 1;           // Worker threads for the plan runner (0 = hardware threads).
-  std::string out_json;   // Non-empty: also write a machine-readable report here.
-  std::string trace_out;  // Non-empty: write a Chrome trace (Perfetto-loadable) here.
-  int trace_task = 0;     // Plan index of the task the trace covers.
-  bool oracle = false;    // Run the clairvoyant oracle on every task (DESIGN.md §5k).
-  std::string oracle_out;  // Non-empty: write a compact per-task gap-summary JSON here.
+  ObserveOptions observe;
+  std::string out_json;  // Non-empty: also write a machine-readable report here.
 };
 
-// Parses the shared flags (--jobs, --out_json, --trace_out, --trace_task, --oracle,
-// --oracle_out, --help). Returns true to proceed; on false *exit_code holds the process exit
-// status (0 for --help, 1 for a malformed flag).
+// Parses the shared flags (--jobs, --trace-out, --trace-task, --oracle, --out_json, --help).
+// Returns true to proceed; on false *exit_code holds the process exit status (0 for --help,
+// 1 for a malformed flag).
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
                     const std::string& description, BenchEnv* env, int* exit_code);
+
+// Flags of the self-checking benches (bench_admission, bench_cache, bench_cluster,
+// bench_oracle, bench_simd, bench_tiering), whose exit codes are CI gates.
+struct GateArgs {
+  bool small = false;  // --small: the CI smoke configuration.
+  std::string json;    // --json PATH: also write the BENCH_*.json document here.
+  int jobs = 1;        // --jobs N (only with `with_jobs`): plan-runner worker threads.
+};
+
+// Parses --small, --json PATH and, with `with_jobs`, --jobs N. Same contract as
+// ParseBenchArgs.
+bool ParseGateArgs(int argc, const char* const* argv, const std::string& program,
+                   const std::string& description, bool with_jobs, GateArgs* args,
+                   int* exit_code);
 
 using DeclareFn = std::function<void(ExperimentPlan&)>;
 using RenderFn = std::function<void(const std::vector<ExperimentResult>&, std::ostream&)>;
 
-// Standard bench entry point: declare the plan, run it at --jobs workers, render the tables
-// over the ordered results, and honour --out_json with a plan report (harness/report.h).
-// With --trace_out PATH, one task (--trace_task, default 0) runs with a TraceRecorder
-// attached; the Chrome trace-event JSON lands at PATH and the stall-attribution table goes to
-// stderr — stdout stays byte-identical to an untraced run.
-// With --oracle (or --oracle_out PATH), every task records its gate-decision tape and the
-// rendered output is followed by a "% of clairvoyant optimum" gap table; the default (off)
-// leaves stdout and --out_json byte-identical to a pre-oracle run.
+// Standard bench entry point: declare the plan, run it through RunObserved (harness/
+// observe.h: --jobs workers, --trace-out, --oracle with its gap table on stdout), render the
+// tables over the ordered results, and honour --out_json with a plan report
+// (harness/report.h). Without --oracle, stdout and --out_json are byte-identical to a run
+// without the oracle; tracing never changes either.
 int BenchMain(int argc, const char* const* argv, const std::string& program,
               const std::string& description, const DeclareFn& declare,
               const RenderFn& render);

@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
     return exit_code;
   }
 
-  if (!env.trace_out.empty()) {
-    std::cerr << "note: --trace_out is ignored: this bench measures data structures directly "
+  if (!env.observe.trace_out.empty()) {
+    std::cerr << "note: --trace-out is ignored: this bench measures data structures directly "
                  "(no serving engine to trace)\n";
   }
 

@@ -19,12 +19,11 @@
 //   --json PATH  Also write the results as JSON to PATH.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/core/map_store.h"
 #include "src/moe/model_config.h"
 #include "src/util/math.h"
@@ -288,14 +287,9 @@ std::vector<MemoryRow> RunMemory() {
   return rows;
 }
 
-void WriteJson(const std::string& path, const std::vector<MicroResult>& micro,
+void WriteJson(std::ostream& out, const std::vector<MicroResult>& micro,
                const std::vector<SearchResultRow>& search, const std::vector<MemoryRow>& mem,
                size_t rows, size_t store_size) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
   out << "{\n";
   out << "  \"description\": \"SIMD hot-kernel throughput (scalar reference build vs "
          "dispatched backend) and quantized Expert Map Store columns (fp16/int8). Regenerate "
@@ -362,7 +356,11 @@ int Run(bool small, const std::string& json_path) {
   }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, micro, search, mem, rows, store_size);
+    if (!bench::WriteJsonFile(json_path, [&](std::ostream& out) {
+          WriteJson(out, micro, search, mem, rows, store_size);
+        })) {
+      return 1;
+    }
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;
@@ -372,20 +370,12 @@ int Run(bool small, const std::string& json_path) {
 }  // namespace fmoe
 
 int main(int argc, char** argv) {
-  bool small = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: bench_simd [--small] [--json PATH]\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 1;
-    }
+  fmoe::bench::GateArgs args;
+  int exit_code = 0;
+  if (!fmoe::bench::ParseGateArgs(argc, argv, "bench_simd",
+                                  "SIMD hot kernels and quantized map-store columns",
+                                  /*with_jobs=*/false, &args, &exit_code)) {
+    return exit_code;
   }
-  return fmoe::Run(small, json_path);
+  return fmoe::Run(args.small, args.json);
 }

@@ -141,6 +141,7 @@ int main(int argc, char** argv) {
 
   PrintTimeline(recorder, std::cout);
 
+  // The recorder carries the engine's own stall split (RunExperiment copies signal_stall()).
   std::cout << "\n" << fmoe::RenderStallReport(recorder.stall());
   std::cout << "attributed total matches LatencyBreakdown::demand_stall: "
             << (recorder.stall().total_seconds == result.breakdown.demand_stall ? "yes"

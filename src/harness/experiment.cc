@@ -31,8 +31,6 @@ EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec
   config.preload_all = spec.preload_all;
   config.frequency_decay = options.frequency_decay;
   config.placement = options.placement;
-  config.gate = options.gate;
-  config.hardware = options.hardware;
   config.seed = options.seed;
   config.matcher_latency_scale = options.matcher_latency_scale;
   config.matcher_queue_depth = options.matcher_queue_depth;
@@ -249,6 +247,11 @@ ExperimentResult RunExperiment(const ExperimentTask& task) {
     sched.admission = options.admission;
     scheduler.emplace(engines[0].engine.get(), sched);
     completed = scheduler->Run(requests);
+  }
+
+  // The trace's stall report is replica 0's own attribution (only replica 0 is traced).
+  if (options.trace != nullptr) {
+    options.trace->set_stall(engines[0].engine->signal_stall());
   }
 
   // Merge: each replica's result is built as a single engine's would be, then pooled.

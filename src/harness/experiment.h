@@ -22,8 +22,6 @@
 #include "src/core/fmoe_policy.h"
 #include "src/harness/systems.h"
 #include "src/memsim/gpu.h"
-#include "src/moe/cost_model.h"
-#include "src/moe/gate_simulator.h"
 #include "src/oracle/oracle.h"
 #include "src/serving/cluster.h"
 #include "src/serving/engine.h"
@@ -84,8 +82,6 @@ struct ExperimentOptions {
   int replicas = 1;
   RouterPolicy router_policy = RouterPolicy::kRoundRobin;
   ClusterMemoryMode cluster_memory = ClusterMemoryMode::kReplicate;
-  GateProfile gate;
-  HardwareProfile hardware;
   // Optional virtual-time trace recorder (not owned; must outlive the run). Pure observer:
   // attaching one changes nothing about the run. On the 7:3 split the warmup phase resets it,
   // so the recorded trace covers exactly the measured requests.

@@ -85,7 +85,7 @@ class ExperimentPlan {
 
   const std::vector<ExperimentTask>& tasks() const { return tasks_; }
   // Mutable view for post-declaration knob overrides that apply to every task uniformly
-  // (e.g. BenchMain's --oracle flag enabling the clairvoyant recorder plan-wide).
+  // (e.g. RunObserved's --oracle enabling the clairvoyant recorder plan-wide).
   std::vector<ExperimentTask>& mutable_tasks() { return tasks_; }
   size_t size() const { return tasks_.size(); }
   bool empty() const { return tasks_.empty(); }

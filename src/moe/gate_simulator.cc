@@ -23,11 +23,6 @@ uint64_t MixKeys(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
   return SplitMix64(state);
 }
 
-double HashedUniform(uint64_t key) {
-  uint64_t s = key;
-  return static_cast<double>(SplitMix64(s) >> 11) * 0x1.0p-53;
-}
-
 // Deterministic standard Gaussian from a hash key (Box-Muller over two derived uniforms).
 double HashedGaussian(uint64_t key) {
   uint64_t s = key;

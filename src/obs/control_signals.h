@@ -3,8 +3,8 @@
 //   * StallStateMachine — the per-key prefetch-lifecycle classifier. Each ServingEngine owns
 //     exactly one and feeds it unconditionally, so every demand miss is classified once, as
 //     never-prefetched / prefetch-in-flight / evicted-before-use, whether or not anything is
-//     attached. The engine charges the same class to an attached TraceRecorder's
-//     StallAttribution and to an attached ControlSignalTracker.
+//     attached. Its StallAttribution is the run's one stall split (a trace file carries a
+//     copy); the engine also feeds each class to an attached ControlSignalTracker.
 //   * ControlSignals — a windowed snapshot of the rates a closed-loop admission controller
 //     needs: per-class stall rates, queueing delay, cache-thrash ratio, prefetch-in-flight
 //     share (see src/serving/admission.h for the consumers).

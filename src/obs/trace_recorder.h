@@ -12,11 +12,10 @@
 // perfetto_export.h serialises the recorded events as Chrome trace-event JSON, loadable in
 // Perfetto / chrome://tracing, with virtual seconds mapped to microseconds.
 //
-// The recorder also holds the traced window's stall attribution (stall_report.h renders it):
-// the engine classifies every demand miss with its own StallStateMachine (control_signals.h)
-// and charges each served miss here with that class and serving tier, so the attributed total
-// is accumulated with the exact same sequence of additions as LatencyBreakdown::demand_stall
-// and the two are bitwise equal at the end of a run.
+// The recorder also carries the traced window's stall attribution for the exporter and
+// stall_report.h. It is a copy, not a second count: the engine classifies and charges every
+// demand miss once, in its own StallStateMachine (control_signals.h), and RunExperiment copies
+// the traced engine's ServingEngine::signal_stall() here when the run ends.
 //
 // Thread-safety: a recorder belongs to exactly one engine (one simulation timeline) and is
 // not synchronised. The parallel plan runner attaches a recorder to a single task.
@@ -93,10 +92,8 @@ class TraceRecorder {
   double SpanSeconds(std::string_view name) const;
   uint64_t CountEvents(TracePhase phase, std::string_view name) const;
 
-  // Charges one served miss of the traced window (see StallAttribution::AddStall / AddTier).
-  void AttributeStall(StallClass cls, double seconds) { stall_.AddStall(cls, seconds); }
-  void AttributeStallTier(StallTier tier, double seconds) { stall_.AddTier(tier, seconds); }
-
+  // The traced window's stall attribution, as the traced engine accumulated it.
+  void set_stall(const StallAttribution& stall) { stall_ = stall; }
   const StallAttribution& stall() const { return stall_; }
 
   // Drops recorded events and the stall attribution but keeps tracks and the time source —

@@ -542,14 +542,10 @@ void ServingEngine::CompleteExpert(const ExpertJob& job) {
     metrics_.RecordMiss();
   }
   if (trace_ != nullptr) {
-    if (!job.hit) {
-      trace_->AttributeStall(job.stall_class, stall);
-      trace_->AttributeStallTier(job.tier_source, stall);
-      if (stall > 0.0) {
-        trace_->Span(trace_engine_track_, "demand-stall", "stall", stall_start, job.ready_at,
-                     {TraceArg::Int("layer", job.id.layer), TraceArg::Int("expert", job.id.expert),
-                      TraceArg::Str("cause", StallClassName(job.stall_class))});
-      }
+    if (!job.hit && stall > 0.0) {
+      trace_->Span(trace_engine_track_, "demand-stall", "stall", stall_start, job.ready_at,
+                   {TraceArg::Int("layer", job.id.layer), TraceArg::Int("expert", job.id.expert),
+                    TraceArg::Str("cause", StallClassName(job.stall_class))});
     }
     std::vector<TraceArg> args = {TraceArg::Int("layer", job.id.layer),
                                   TraceArg::Int("expert", job.id.expert)};

@@ -272,8 +272,8 @@ class ServingEngine : public EngineHandle {
   int trace_engine_track_ = 0;
   std::vector<int> trace_slot_tracks_;  // batch_slot -> track id, registered lazily.
 
-  // The engine's one demand-miss classifier, fed unconditionally; trace_ and signals_ receive
-  // the classes it computes.
+  // The engine's one demand-miss classifier and stall split, fed unconditionally; trace_ and
+  // signals_ receive the classes it computes.
   StallStateMachine stall_machine_;
 
   // Live control-plane feed (null signals_ = detached; same single-pointer-check contract as

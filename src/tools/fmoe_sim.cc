@@ -2,15 +2,14 @@
 //
 // Runs the paper's offline (7:3) or online (trace replay) protocol, or the continuous-batching
 // scheduler, for any registered system and prints a table, JSON, or CSV. The systems run as a
-// declarative ExperimentPlan through the deterministic parallel runner: --jobs only changes
-// wall-clock time, never output.
+// declarative ExperimentPlan through the shared front end (src/harness/observe.h): --jobs only
+// changes wall-clock time, never output; --trace-out and --oracle report on stderr.
 // Examples:
 //
 //   fmoe_sim --model mixtral --system fMoE
 //   fmoe_sim --model qwen --system all --format csv --jobs 4
 //   fmoe_sim --model phi --mode online --requests 64 --trace-rate 0.1 --format json
 //   fmoe_sim --model mixtral --system fMoE --save-store /tmp/mixtral.store
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -18,13 +17,10 @@
 #include "src/core/fmoe_policy.h"
 #include "src/core/map_store_io.h"
 #include "src/harness/experiment.h"
+#include "src/harness/observe.h"
 #include "src/harness/plan.h"
 #include "src/harness/report.h"
-#include "src/harness/runner.h"
 #include "src/harness/systems.h"
-#include "src/obs/perfetto_export.h"
-#include "src/obs/stall_report.h"
-#include "src/obs/trace_recorder.h"
 #include "src/workload/trace_io.h"
 #include "src/util/flags.h"
 #include "src/util/table.h"
@@ -70,6 +66,59 @@ void PrintTable(const std::vector<ExperimentResult>& results, std::ostream& out)
                       AsciiTable::Num(r.cache_capacity_gb, 1)});
   }
   table.Print(out);
+}
+
+// Everything fmoe_sim does with a finished run: the optional store export, then the results
+// in --format to --output (default stdout). Returns the process exit code.
+int Render(const FlagParser& flags, const ExperimentOptions& options,
+           const std::vector<ExperimentResult>& results) {
+  // Optional store export: warm a fresh fMoE engine on the history, then persist its store.
+  const std::string store_path = flags.GetString("save-store");
+  if (!store_path.empty()) {
+    ExperimentOptions store_options = options;
+    store_options.replicas = 1;
+    Replica replica = MakeReplica("fMoE", store_options, 0);
+    WorkloadGenerator generator(options.dataset, options.seed);
+    std::vector<Request> history = generator.Generate(options.history_requests);
+    for (Request& request : history) {
+      if (options.max_decode_tokens > 0) {
+        request.decode_tokens = std::min(request.decode_tokens, options.max_decode_tokens);
+      }
+    }
+    replica.engine->WarmupWithHistory(history);
+    const auto* policy = dynamic_cast<const FmoePolicy*>(replica.spec.policy.get());
+    const StoreIoResult io = SaveStoreToFile(policy->store(), store_path);
+    if (!io.ok) {
+      std::cerr << "error: saving store failed: " << io.error << "\n";
+      return 1;
+    }
+    std::cerr << "saved " << io.records << " expert maps (" << io.bytes << " bytes) to "
+              << store_path << "\n";
+  }
+
+  std::ofstream file;
+  std::ostream* out = &std::cout;
+  if (!flags.GetString("output").empty()) {
+    file.open(flags.GetString("output"));
+    if (!file) {
+      std::cerr << "error: cannot open " << flags.GetString("output") << "\n";
+      return 1;
+    }
+    out = &file;
+  }
+
+  const std::string format = flags.GetString("format");
+  if (format == "table") {
+    PrintTable(results, *out);
+  } else if (format == "json") {
+    WriteResultsJson(results, flags.GetBool("latencies"), *out);
+  } else if (format == "csv") {
+    WriteResultsCsv(results, *out);
+  } else {
+    std::cerr << "error: unknown format '" << format << "'\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -153,9 +202,6 @@ int main(int argc, char** argv) {
                   "per-replica expert-cache budget: replicate (full budget each) | partition "
                   "(single-node budget split across replicas)");
   flags.AddInt("seed", 42, "random seed (all components are deterministic given this)");
-  flags.AddInt("jobs", 1,
-               "worker threads when running several systems (0 = one per hardware thread); "
-               "output is byte-identical for any value");
   flags.AddString("format", "table", "output format: table | json | csv");
   flags.AddBool("latencies", false, "include per-request latencies in JSON output");
   flags.AddString("save-store", "", "after an fMoE run, save its Expert Map Store here");
@@ -166,25 +212,12 @@ int main(int argc, char** argv) {
                   "[,cluster,seed]");
   flags.AddString("export-trace", "",
                   "write the generated online trace to this CSV and exit (for editing/replay)");
-  flags.AddString("trace-out", "",
-                  "write a Chrome trace-event JSON (Perfetto-loadable) of one system's run "
-                  "here; stall attribution goes to stderr");
-  flags.AddInt("trace-task", 0, "index of the system/task --trace-out covers (default 0)");
-  flags.AddBool("oracle", false,
-                "run the clairvoyant oracle on every system (DESIGN.md 5k): adds an "
-                "optimality-gap block to JSON output plus a gap table on stderr");
-  flags.AddString("oracle-out", "",
-                  "write a compact per-system optimality-gap JSON here (implies --oracle)");
+  AddObserveFlags(flags);
   flags.AddString("output", "", "write results to this file instead of stdout");
 
-  std::string error;
-  if (!flags.Parse(argc, argv, &error)) {
-    if (flags.help_requested()) {
-      std::cout << flags.Usage();
-      return 0;
-    }
-    std::cerr << "error: " << error << "\n\n" << flags.Usage();
-    return 1;
+  int exit_code = 0;
+  if (!flags.ParseCommandLine(argc, argv, &exit_code)) {
+    return exit_code;
   }
 
   ExperimentOptions options;
@@ -214,8 +247,6 @@ int main(int argc, char** argv) {
   options.matcher_latency_scale = flags.GetDouble("matcher-latency-scale");
   options.matcher_queue_depth = static_cast<int>(flags.GetInt("matcher-queue-depth"));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const std::string oracle_out = flags.GetString("oracle-out");
-  options.oracle = flags.GetBool("oracle") || !oracle_out.empty();
   const double host_capacity_gb = flags.GetDouble("host-capacity-gb");
   options.tier.nvme_backing = flags.GetBool("nvme-backing") || host_capacity_gb > 0.0;
   options.tier.host_capacity_bytes =
@@ -319,14 +350,6 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  const std::string trace_out = flags.GetString("trace-out");
-  const size_t trace_task = static_cast<size_t>(flags.GetInt("trace-task"));
-  TraceRecorder recorder;
-  if (!trace_out.empty() && trace_task >= systems.size()) {
-    std::cerr << "error: --trace-task " << trace_task << " out of range (" << systems.size()
-              << " systems)\n";
-    return 1;
-  }
   ExperimentPlan plan(options.seed);
   for (const std::string& system : systems) {
     ExperimentTask task{.system = system, .options = options, .tags = {"system=" + system}};
@@ -344,129 +367,8 @@ int main(int argc, char** argv) {
     }
     plan.Add(std::move(task));
   }
-  RunnerOptions runner;
-  runner.jobs = static_cast<int>(flags.GetInt("jobs"));
-  if (!trace_out.empty()) {
-    runner.trace = &recorder;
-    runner.trace_task = trace_task;
-  }
-  const std::vector<ExperimentResult> results = RunPlan(plan, runner);
-
-  if (!trace_out.empty()) {
-    const std::string process_name = "fmoe_sim [" + std::to_string(trace_task) + "] " +
-                                     systems[trace_task];
-    if (!WriteChromeTraceFile(recorder, process_name, trace_out)) {
-      return 1;
-    }
-    std::cerr << "trace: " << recorder.events().size() << " events -> " << trace_out
-              << " (load in ui.perfetto.dev or chrome://tracing)\n"
-              << RenderStallReport(recorder.stall());
-  }
-
-  if (options.oracle) {
-    // Gap table goes to stderr (like the stall report) so --format stdout is unchanged by
-    // everything except the report's own oracle block.
-    AsciiTable gap_table({"system", "% of optimum", "miss gap", "stall gap",
-                          "policy stall (ms)", "oracle stall (ms)"});
-    for (const ExperimentResult& r : results) {
-      if (!r.oracle_enabled) {
-        continue;
-      }
-      gap_table.AddRow({r.system, AsciiTable::Num(r.oracle.pct_of_clairvoyant, 1),
-                        AsciiTable::Num(r.oracle.miss_gap, 3),
-                        AsciiTable::Num(r.oracle.stall_gap, 3),
-                        AsciiTable::Num(r.oracle.policy_stall_s * 1e3, 1),
-                        AsciiTable::Num(r.oracle.oracle_stall_s * 1e3, 1)});
-    }
-    gap_table.Print(std::cerr);
-    if (!oracle_out.empty()) {
-      std::ofstream oracle_file(oracle_out);
-      if (!oracle_file) {
-        std::cerr << "error: cannot open " << oracle_out << " for writing\n";
-        return 1;
-      }
-      oracle_file << "{\"program\":\"fmoe_sim\",\"tasks\":[";
-      bool first = true;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const ExperimentResult& r = results[i];
-        if (!r.oracle_enabled) {
-          continue;
-        }
-        if (!first) {
-          oracle_file << ",";
-        }
-        first = false;
-        char buffer[512];
-        std::snprintf(buffer, sizeof(buffer),
-                      "{\"task\":%zu,\"system\":\"%s\",\"oracle\":{\"accesses\":%llu,"
-                      "\"policy_hits\":%llu,\"policy_misses\":%llu,\"oracle_fetches\":%llu,"
-                      "\"oracle_hits\":%llu,\"oracle_misses\":%llu,\"policy_stall_s\":%.9g,"
-                      "\"oracle_stall_s\":%.9g,\"miss_gap\":%.9g,\"stall_gap\":%.9g,"
-                      "\"pct_of_clairvoyant\":%.9g}}",
-                      i, r.system.c_str(),
-                      static_cast<unsigned long long>(r.oracle.accesses),
-                      static_cast<unsigned long long>(r.oracle.policy_hits),
-                      static_cast<unsigned long long>(r.oracle.policy_misses),
-                      static_cast<unsigned long long>(r.oracle.oracle_fetches),
-                      static_cast<unsigned long long>(r.oracle.oracle_hits),
-                      static_cast<unsigned long long>(r.oracle.oracle_misses),
-                      r.oracle.policy_stall_s, r.oracle.oracle_stall_s, r.oracle.miss_gap,
-                      r.oracle.stall_gap, r.oracle.pct_of_clairvoyant);
-        oracle_file << buffer;
-      }
-      oracle_file << "]}\n";
-      if (!oracle_file) {
-        std::cerr << "error: writing " << oracle_out << " failed\n";
-        return 1;
-      }
-    }
-  }
-
-  // Optional store export: warm a fresh fMoE engine on the history, then persist its store.
-  const std::string store_path = flags.GetString("save-store");
-  if (!store_path.empty()) {
-    ExperimentOptions store_options = options;
-    store_options.replicas = 1;
-    Replica replica = MakeReplica("fMoE", store_options, 0);
-    WorkloadGenerator generator(options.dataset, options.seed);
-    std::vector<Request> history = generator.Generate(options.history_requests);
-    for (Request& request : history) {
-      if (options.max_decode_tokens > 0) {
-        request.decode_tokens = std::min(request.decode_tokens, options.max_decode_tokens);
-      }
-    }
-    replica.engine->WarmupWithHistory(history);
-    const auto* policy = dynamic_cast<const FmoePolicy*>(replica.spec.policy.get());
-    const StoreIoResult io = SaveStoreToFile(policy->store(), store_path);
-    if (!io.ok) {
-      std::cerr << "error: saving store failed: " << io.error << "\n";
-      return 1;
-    }
-    std::cerr << "saved " << io.records << " expert maps (" << io.bytes << " bytes) to "
-              << store_path << "\n";
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  if (!flags.GetString("output").empty()) {
-    file.open(flags.GetString("output"));
-    if (!file) {
-      std::cerr << "error: cannot open " << flags.GetString("output") << "\n";
-      return 1;
-    }
-    out = &file;
-  }
-
-  const std::string format = flags.GetString("format");
-  if (format == "table") {
-    PrintTable(results, *out);
-  } else if (format == "json") {
-    WriteResultsJson(results, flags.GetBool("latencies"), *out);
-  } else if (format == "csv") {
-    WriteResultsCsv(results, *out);
-  } else {
-    std::cerr << "error: unknown format '" << format << "'\n";
-    return 1;
-  }
-  return 0;
+  return RunObserved("fmoe_sim", plan, ReadObserveFlags(flags), std::cerr,
+                     [&](const std::vector<ExperimentResult>& results) {
+                       return Render(flags, options, results);
+                     });
 }

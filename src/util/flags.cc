@@ -1,6 +1,8 @@
 #include "src/util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 
 #include "src/util/logging.h"
@@ -22,10 +24,22 @@ const char* TypeName(int type) {
   return "?";
 }
 
+// The key a flag name is stored and looked up under: '_' and '-' are one character.
+std::string Canonical(std::string name) {
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
+}
+
 }  // namespace
 
 FlagParser::FlagParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
+
+void FlagParser::Register(const std::string& name, Flag flag) {
+  FMOE_CHECK_MSG(!flags_.contains(Canonical(name)), "duplicate flag --" << name);
+  flags_.emplace(Canonical(name), std::move(flag));
+  order_.push_back(name);
+}
 
 void FlagParser::AddString(const std::string& name, const std::string& default_value,
                            const std::string& help) {
@@ -34,9 +48,7 @@ void FlagParser::AddString(const std::string& name, const std::string& default_v
   flag.help = help;
   flag.string_value = default_value;
   flag.default_text = default_value.empty() ? "\"\"" : default_value;
-  FMOE_CHECK_MSG(!flags_.contains(name), "duplicate flag --" << name);
-  flags_.emplace(name, std::move(flag));
-  order_.push_back(name);
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddInt(const std::string& name, int64_t default_value,
@@ -46,9 +58,7 @@ void FlagParser::AddInt(const std::string& name, int64_t default_value,
   flag.help = help;
   flag.int_value = default_value;
   flag.default_text = std::to_string(default_value);
-  FMOE_CHECK_MSG(!flags_.contains(name), "duplicate flag --" << name);
-  flags_.emplace(name, std::move(flag));
-  order_.push_back(name);
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddDouble(const std::string& name, double default_value,
@@ -60,9 +70,7 @@ void FlagParser::AddDouble(const std::string& name, double default_value,
   std::ostringstream text;
   text << default_value;
   flag.default_text = text.str();
-  FMOE_CHECK_MSG(!flags_.contains(name), "duplicate flag --" << name);
-  flags_.emplace(name, std::move(flag));
-  order_.push_back(name);
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddBool(const std::string& name, bool default_value, const std::string& help) {
@@ -71,9 +79,7 @@ void FlagParser::AddBool(const std::string& name, bool default_value, const std:
   flag.help = help;
   flag.bool_value = default_value;
   flag.default_text = default_value ? "true" : "false";
-  FMOE_CHECK_MSG(!flags_.contains(name), "duplicate flag --" << name);
-  flags_.emplace(name, std::move(flag));
-  order_.push_back(name);
+  Register(name, std::move(flag));
 }
 
 bool FlagParser::AssignValue(Flag* flag, const std::string& name, const std::string& value,
@@ -148,7 +154,7 @@ bool FlagParser::Parse(int argc, const char* const* argv, std::string* error) {
       value = arg.substr(eq + 1);
       has_value = true;
     }
-    const auto it = flags_.find(name);
+    const auto it = flags_.find(Canonical(name));
     if (it == flags_.end()) {
       if (error != nullptr) {
         *error = "unknown flag --" + name;
@@ -190,8 +196,23 @@ bool FlagParser::Parse(int argc, const char* const* argv, std::string* error) {
   return true;
 }
 
+bool FlagParser::ParseCommandLine(int argc, const char* const* argv, int* exit_code) {
+  std::string error;
+  if (Parse(argc, argv, &error)) {
+    return true;
+  }
+  if (help_requested_) {
+    std::cout << Usage();
+    *exit_code = 0;
+  } else {
+    std::cerr << "error: " << error << "\n\n" << Usage();
+    *exit_code = 1;
+  }
+  return false;
+}
+
 const FlagParser::Flag& FlagParser::Require(const std::string& name, Type type) const {
-  const auto it = flags_.find(name);
+  const auto it = flags_.find(Canonical(name));
   FMOE_CHECK_MSG(it != flags_.end(), "flag --" << name << " was never registered");
   FMOE_CHECK_MSG(it->second.type == type, "flag --" << name << " is not a "
                                                     << TypeName(static_cast<int>(type)));
@@ -215,7 +236,7 @@ bool FlagParser::GetBool(const std::string& name) const {
 }
 
 bool FlagParser::WasSet(const std::string& name) const {
-  const auto it = flags_.find(name);
+  const auto it = flags_.find(Canonical(name));
   FMOE_CHECK_MSG(it != flags_.end(), "flag --" << name << " was never registered");
   return it->second.set;
 }
@@ -224,7 +245,7 @@ std::string FlagParser::Usage() const {
   std::ostringstream out;
   out << program_ << " — " << description_ << "\n\nflags:\n";
   for (const std::string& name : order_) {
-    const Flag& flag = flags_.at(name);
+    const Flag& flag = flags_.at(Canonical(name));
     out << "  --" << name << " (default: " << flag.default_text << ")\n      " << flag.help
         << "\n";
   }

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for the CLI tools (no external dependencies).
 //
-// Supports `--name value`, `--name=value`, bare boolean `--name`, and `--help`. Unknown flags
-// and malformed values fail parsing with a message; tools print Usage() and exit non-zero.
+// Supports `--name value`, `--name=value`, bare boolean `--name`, and `--help`. '_' and '-' in
+// a flag name are the same character, so `--trace_out` and `--trace-out` reach one flag.
+// Unknown flags and malformed values fail parsing with a message; tools print Usage() and exit
+// non-zero.
 #ifndef FMOE_SRC_UTIL_FLAGS_H_
 #define FMOE_SRC_UTIL_FLAGS_H_
 
@@ -16,7 +18,8 @@ class FlagParser {
  public:
   FlagParser(std::string program, std::string description);
 
-  // Flag registration (call before Parse). Names are given without the leading dashes.
+  // Flag registration (call before Parse). Names are given without the leading dashes;
+  // Usage() lists them as registered.
   void AddString(const std::string& name, const std::string& default_value,
                  const std::string& help);
   void AddInt(const std::string& name, int64_t default_value, const std::string& help);
@@ -26,6 +29,10 @@ class FlagParser {
   // Parses argv. Returns false on error or when --help was requested; `error` (if non-null)
   // receives the diagnostic ("" for --help).
   bool Parse(int argc, const char* const* argv, std::string* error);
+  // Parse() for a tool's main(): --help prints Usage() to stdout (exit status 0); an error
+  // prints the diagnostic and Usage() to stderr (exit status 1). Returns true to go on;
+  // otherwise *exit_code holds the status to exit with.
+  bool ParseCommandLine(int argc, const char* const* argv, int* exit_code);
 
   // Typed accessors; the flag must have been registered with the matching type.
   const std::string& GetString(const std::string& name) const;
@@ -50,13 +57,14 @@ class FlagParser {
     bool set = false;
   };
 
+  void Register(const std::string& name, Flag flag);
   const Flag& Require(const std::string& name, Type type) const;
   bool AssignValue(Flag* flag, const std::string& name, const std::string& value,
                    std::string* error);
 
   std::string program_;
   std::string description_;
-  std::map<std::string, Flag> flags_;
+  std::map<std::string, Flag> flags_;  // Keyed by the name with every '_' made '-'.
   std::vector<std::string> order_;  // Registration order for Usage().
   bool help_requested_ = false;
 };

@@ -123,6 +123,30 @@ TEST(FlagParserTest, UsageListsAllFlags) {
   }
 }
 
+// '_' and '-' are one character in flag names, in the `=value` and the separate-value forms
+// and in the accessors, whichever spelling the flag was registered with.
+TEST(FlagParserTest, UnderscoreAndDashNameTheSameFlag) {
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"--a_b=x", "--c-d=5"},
+        std::vector<const char*>{"--a-b=x", "--c_d=5"},
+        std::vector<const char*>{"--a_b", "x", "--c-d", "5"},
+        std::vector<const char*>{"--a-b", "x", "--c_d", "5"}}) {
+    FlagParser parser("tool", "test tool");
+    parser.AddString("a_b", "", "registered with an underscore");
+    parser.AddInt("c-d", 0, "registered with a dash");
+    std::string error;
+    ASSERT_TRUE(ParseArgs(parser, args, &error)) << error;
+    EXPECT_EQ(parser.GetString("a_b"), "x");
+    EXPECT_EQ(parser.GetString("a-b"), "x");
+    EXPECT_EQ(parser.GetInt("c-d"), 5);
+    EXPECT_EQ(parser.GetInt("c_d"), 5);
+    EXPECT_TRUE(parser.WasSet("a-b"));
+  }
+  FlagParser parser("tool", "test tool");
+  parser.AddString("a_b", "", "h");
+  EXPECT_NE(parser.Usage().find("--a_b"), std::string::npos);  // Listed as registered.
+}
+
 using FlagParserDeathTest = ::testing::Test;
 
 TEST(FlagParserDeathTest, TypeMismatchAborts) {
@@ -136,6 +160,8 @@ TEST(FlagParserDeathTest, DuplicateRegistrationAborts) {
   FlagParser parser("t", "d");
   parser.AddInt("x", 1, "h");
   EXPECT_DEATH(parser.AddString("x", "", "h"), "duplicate flag");
+  parser.AddInt("a_b", 1, "h");
+  EXPECT_DEATH(parser.AddInt("a-b", 1, "h"), "duplicate flag");
 }
 
 }  // namespace

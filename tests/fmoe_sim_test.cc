@@ -1,12 +1,15 @@
 // Command-line contract of fmoe_sim: a loaded CSV trace is served per --mode like a generated
-// one (scheduled runs go through the admission-controlled scheduler), and --save-store builds
-// its engine the way a run does, so the map-shard count reaches the saved store.
+// one (scheduled runs go through the admission-controlled scheduler), --save-store builds its
+// engine the way a run does, so the map-shard count reaches the saved store, and the shared
+// observation flags (--trace-out, --oracle) change stdout by nothing but the oracle blocks.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "src/tools/trace_diff_lib.h"
 
 namespace {
 
@@ -82,6 +85,54 @@ TEST(FmoeSimTest, SaveStoreHonoursMapShards) {
   ASSERT_FALSE(one_bytes.empty());
   ASSERT_FALSE(four_bytes.empty());
   EXPECT_NE(one_bytes, four_bytes);
+}
+
+constexpr const char* kSmall = "--model tiny --format json --history 10 --requests 4 "
+                               "--max-decode 4 ";
+
+// Tracing writes a trace that parses and leaves stdout byte-identical.
+TEST(FmoeSimTest, TraceOutLeavesStdoutUnchangedAndWritesAParsableTrace) {
+  const std::string trace = TempPath("fmoe_sim_test_trace.json");
+  std::remove(trace.c_str());
+  const std::string plain = RunSim(std::string(kSmall) + "--system fMoE");
+  const std::string traced = RunSim(std::string(kSmall) + "--system fMoE --trace-out " + trace);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(plain, traced);
+  const fmoe::TraceDiffResult self = fmoe::DiffTraceFiles(trace, trace);
+  ASSERT_TRUE(self.ok) << self.error;
+  EXPECT_TRUE(self.identical);
+  EXPECT_NE(ReadFile(trace).find("\"stallAttribution\""), std::string::npos);
+}
+
+// --oracle adds one oracle block per system; every other byte equals the plain run.
+TEST(FmoeSimTest, OracleAddsOneBlockPerSystemAndNothingElse) {
+  const std::string plain = RunSim(std::string(kSmall) + "--system all");
+  std::string oracle = RunSim(std::string(kSmall) + "--system all --oracle");
+  const std::string block = ",\"oracle\":{";
+  size_t blocks = 0;
+  for (size_t at = oracle.find(block); at != std::string::npos; at = oracle.find(block, at)) {
+    const size_t close = oracle.find('}', at);  // The block holds no nested objects.
+    ASSERT_NE(close, std::string::npos);
+    oracle.erase(at, close + 1 - at);
+    ++blocks;
+  }
+  EXPECT_EQ(blocks, 5u);  // The paper's five systems.
+  EXPECT_EQ(oracle, plain);
+}
+
+// Flag names match with '_' and '-' as one character.
+TEST(FmoeSimTest, UnderscoreSpellingsAreAccepted) {
+  const std::string dashed = TempPath("fmoe_sim_test_dashed.json");
+  const std::string underscored = TempPath("fmoe_sim_test_underscored.json");
+  const std::string plain =
+      RunSim(std::string(kSmall) + "--system fMoE --trace-out " + dashed);
+  const std::string spelled =
+      RunSim("--model tiny --format json --history 10 --requests 4 --max_decode 4 "
+             "--system fMoE --trace_out " + underscored + " --trace_task 0");
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(plain, spelled);
+  EXPECT_FALSE(ReadFile(underscored).empty());
+  EXPECT_EQ(ReadFile(dashed), ReadFile(underscored));
 }
 
 }  // namespace

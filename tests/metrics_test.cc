@@ -113,7 +113,8 @@ TEST(LatencyBreakdownTest, AccumulateAddsEverything) {
 // The trace is an alternative ledger of the same virtual time the breakdown accumulates:
 // on a real (small, deterministic) run every compute component of LatencyBreakdown must
 // equal the summed durations of the correspondingly named trace spans, and demand_stall must
-// equal the attributed stall total bitwise (same addition sequence — DESIGN.md §5f).
+// equal the stall total the trace carries (the engine's signal_stall(), same addition
+// sequence — DESIGN.md §5f) bitwise.
 TEST(LatencyBreakdownTest, ComponentsMatchSummedTraceSpans) {
   TraceRecorder recorder;
   ExperimentOptions options;

@@ -1,13 +1,16 @@
 // Plan builder and parallel runner: declaration-order indexing, tag bookkeeping, the
 // seed-derivation rule, and the determinism contract — RunPlan's result vector is bitwise
-// identical no matter how many worker threads execute it (DESIGN.md §5e).
+// identical no matter how many worker threads execute it (DESIGN.md §5e) — plus the shared
+// front end RunObserved.
 #include "src/harness/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
+#include <sstream>
 
+#include "src/harness/observe.h"
 #include "src/harness/runner.h"
 #include "src/obs/trace_recorder.h"
 
@@ -223,6 +226,55 @@ TEST(RunnerTest, ProgressCallbackFiresOncePerTask) {
   for (size_t i = 0; i < plan.size(); ++i) {
     EXPECT_EQ(per_task[i].load(), 1) << "task " << i;
   }
+}
+
+// RunObserved checks --trace-task before anything runs.
+TEST(RunObservedTest, OutOfRangeTraceTaskFailsBeforeRunning) {
+  ExperimentPlan plan(/*plan_seed=*/7);
+  plan.AddOffline("fMoE", TinyOptions(), {"system=fMoE"});
+  bool rendered = false;
+  const int code = RunObserved(
+      "test", plan, {.trace_out = ::testing::TempDir() + "/unused_trace.json", .trace_task = 1},
+      std::cerr, [&](const std::vector<ExperimentResult>&) {
+        rendered = true;
+        return 0;
+      });
+  EXPECT_EQ(code, 1);
+  EXPECT_FALSE(rendered);
+}
+
+// --oracle reaches every task, and the gap table lists each by plan index and tags after the
+// caller rendered.
+TEST(RunObservedTest, OracleReachesEveryTaskAndTheGapTable) {
+  ExperimentPlan plan(/*plan_seed=*/7);
+  plan.AddOffline("fMoE", TinyOptions(), {"system=fMoE"});
+  plan.AddOffline("MoE-Infinity", TinyOptions(), {"system=MoE-Infinity"});
+  std::ostringstream gaps;
+  std::vector<ExperimentResult> seen;
+  const int code = RunObserved("test", plan, {.jobs = 2, .oracle = true}, gaps,
+                               [&](const std::vector<ExperimentResult>& results) {
+                                 EXPECT_TRUE(gaps.str().empty());
+                                 seen = results;
+                                 return 0;
+                               });
+  EXPECT_EQ(code, 0);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].system, "fMoE");
+  EXPECT_TRUE(seen[0].oracle_enabled);
+  EXPECT_TRUE(seen[1].oracle_enabled);
+  EXPECT_NE(gaps.str().find("0 system=fMoE"), std::string::npos) << gaps.str();
+  EXPECT_NE(gaps.str().find("1 system=MoE-Infinity"), std::string::npos) << gaps.str();
+}
+
+// A failed render is the exit code, and nothing is reported after it.
+TEST(RunObservedTest, RenderFailureSkipsTheReport) {
+  ExperimentPlan plan(/*plan_seed=*/7);
+  plan.AddOffline("fMoE", TinyOptions(), {"system=fMoE"});
+  std::ostringstream gaps;
+  const int code = RunObserved("test", plan, {.oracle = true}, gaps,
+                               [](const std::vector<ExperimentResult>&) { return 3; });
+  EXPECT_EQ(code, 3);
+  EXPECT_TRUE(gaps.str().empty());
 }
 
 }  // namespace

@@ -32,7 +32,9 @@ TraceRecorder MakeRecorder(double prefetch_end_s) {
                 {TraceArg::Uint("key", 7)});
   recorder.Instant(engine, "evict", "cache", 0.003, {TraceArg::Uint("key", 3)});
   recorder.Counter(link, "inflight", 0.004, 2.0);
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.0005);
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 0.0005);
+  recorder.set_stall(stall);
   return recorder;
 }
 
@@ -87,7 +89,9 @@ TEST(TraceDiffTest, MissingEventIsAnEventCountDivergence) {
 
 TEST(TraceDiffTest, StallAttributionDivergenceIsCaughtAfterEvents) {
   TraceRecorder other = MakeRecorder(0.0025);
-  other.AttributeStall(StallClass::kEvictedBeforeUse, 0.0001);  // Events unchanged.
+  StallAttribution stall = other.stall();
+  stall.AddStall(StallClass::kEvictedBeforeUse, 0.0001);
+  other.set_stall(stall);  // Events unchanged.
   const std::string a = ExportTrace(MakeRecorder(0.0025), "run");
   const std::string b = ExportTrace(other, "run");
   const TraceDiffResult result = DiffTraceJson(a, b);

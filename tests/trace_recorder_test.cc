@@ -56,11 +56,10 @@ TEST(TraceRecorderTest, TimeSourceFeedsNow) {
 }
 
 TEST(StallAttributionTest, AttributeStallAccumulatesPerClassAndTotal) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.5);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.25);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.25);
-  const StallAttribution& stall = recorder.stall();
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 0.5);
+  stall.AddStall(StallClass::kEvictedBeforeUse, 0.25);
+  stall.AddStall(StallClass::kEvictedBeforeUse, 0.25);
   EXPECT_DOUBLE_EQ(stall.seconds[static_cast<size_t>(StallClass::kNeverPrefetched)], 0.5);
   EXPECT_DOUBLE_EQ(stall.seconds[static_cast<size_t>(StallClass::kEvictedBeforeUse)], 0.5);
   EXPECT_EQ(stall.misses[static_cast<size_t>(StallClass::kEvictedBeforeUse)], 2u);
@@ -73,7 +72,9 @@ TEST(TraceRecorderTest, ClearEventsKeepsTracks) {
   TraceRecorder recorder;
   const int track = recorder.RegisterTrack("engine");
   recorder.Span(track, "attention", "compute", 0.0, 1.0);
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 1.0);
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 1.0);
+  recorder.set_stall(stall);
 
   recorder.ClearEvents();  // The warmup → measured-phase reset.
 
@@ -84,12 +85,12 @@ TEST(TraceRecorderTest, ClearEventsKeepsTracks) {
 }
 
 TEST(StallReportTest, RendersEveryClassAndTotal) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.75);
-  recorder.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
-  recorder.AttributeStallTier(StallTier::kHost, 0.75);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.25);
-  const std::string report = RenderStallReport(recorder.stall());
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 0.75);
+  stall.AddStall(StallClass::kPrefetchInFlight, 0.25);
+  stall.AddTier(StallTier::kHost, 0.75);
+  stall.AddTier(StallTier::kNvme, 0.25);
+  const std::string report = RenderStallReport(stall);
   EXPECT_NE(report.find("never-prefetched"), std::string::npos);
   EXPECT_NE(report.find("prefetch-in-flight"), std::string::npos);
   EXPECT_NE(report.find("evicted-before-use"), std::string::npos);
@@ -100,12 +101,11 @@ TEST(StallReportTest, RendersEveryClassAndTotal) {
 }
 
 TEST(StallAttributionTest, TierBucketsPartitionIndependently) {
-  TraceRecorder recorder;
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.5);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.5);
-  recorder.AttributeStall(StallClass::kPrefetchInFlight, 0.25);
-  recorder.AttributeStallTier(StallTier::kHost, 0.25);
-  const StallAttribution& stall = recorder.stall();
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 0.5);
+  stall.AddTier(StallTier::kNvme, 0.5);
+  stall.AddStall(StallClass::kPrefetchInFlight, 0.25);
+  stall.AddTier(StallTier::kHost, 0.25);
   EXPECT_DOUBLE_EQ(stall.tier_seconds[static_cast<size_t>(StallTier::kNvme)], 0.5);
   EXPECT_DOUBLE_EQ(stall.tier_seconds[static_cast<size_t>(StallTier::kHost)], 0.25);
   EXPECT_EQ(stall.tier_misses[static_cast<size_t>(StallTier::kNvme)], 1u);
@@ -142,10 +142,12 @@ TEST(PerfettoExportTest, SchemaMatchesGolden) {
                    {TraceArg::Uint("key", 19), TraceArg::Uint("bytes", 176160768)});
   recorder.Span(nvme, "prefetch", "transfer", 0.0026, 0.0040,
                 {TraceArg::Uint("bytes", 176160768)});
-  recorder.AttributeStall(StallClass::kNeverPrefetched, 0.125);
-  recorder.AttributeStall(StallClass::kEvictedBeforeUse, 0.0625);
-  recorder.AttributeStallTier(StallTier::kHost, 0.125);
-  recorder.AttributeStallTier(StallTier::kNvme, 0.0625);
+  StallAttribution stall;
+  stall.AddStall(StallClass::kNeverPrefetched, 0.125);
+  stall.AddStall(StallClass::kEvictedBeforeUse, 0.0625);
+  stall.AddTier(StallTier::kHost, 0.125);
+  stall.AddTier(StallTier::kNvme, 0.0625);
+  recorder.set_stall(stall);
 
   std::ostringstream out;
   WriteChromeTraceJson(recorder, "trace_recorder_test", out);
@@ -205,8 +207,9 @@ TEST(TraceObserverTest, TracedRunMatchesUntracedBitwise) {
   EXPECT_DOUBLE_EQ(traced.breakdown.layer_overhead, plain.breakdown.layer_overhead);
 }
 
-// The attribution accumulates the identical addition sequence as demand_stall, so the totals
-// are bitwise equal — not merely close — and the per-class buckets partition that total.
+// The trace carries the traced engine's own attribution, which accumulates the identical
+// addition sequence as demand_stall, so the totals are bitwise equal — not merely close — and
+// the per-class buckets partition that total.
 TEST(TraceObserverTest, StallAttributionEqualsDemandStall) {
   TraceRecorder recorder;
   ExperimentOptions options = SmallOptions();
