@@ -28,17 +28,14 @@
 namespace fmoe {
 namespace bench {
 
-// Shared bench flags: the plan-run observation flags (src/harness/observe.h) plus --out_json.
-struct BenchEnv {
-  ObserveOptions observe;
-  std::string out_json;  // Non-empty: also write a machine-readable report here.
-};
-
-// Parses the shared flags (--jobs, --trace-out, --trace-task, --oracle, --out_json, --help).
-// Returns true to proceed; on false *exit_code holds the process exit status (0 for --help,
-// 1 for a malformed flag).
+// Parses a bench's flags: --out_json PATH into *out_json and, for a bench that runs a plan
+// (`observe` non-null), the observation flags of src/harness/observe.h (--jobs, --trace-out,
+// --trace-task, --oracle). A bench that runs no plan takes only --out_json. Returns true to
+// proceed; on false *exit_code holds the process exit status (0 for --help, 1 for a malformed
+// or unknown flag).
 bool ParseBenchArgs(int argc, const char* const* argv, const std::string& program,
-                    const std::string& description, BenchEnv* env, int* exit_code);
+                    const std::string& description, ObserveOptions* observe,
+                    std::string* out_json, int* exit_code);
 
 // Flags of the self-checking benches (bench_admission, bench_cache, bench_cluster,
 // bench_oracle, bench_simd, bench_tiering), whose exit codes are CI gates.

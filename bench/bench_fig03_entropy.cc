@@ -4,8 +4,7 @@
 //   3c — mean per-layer entropy as activations aggregate across iterations.
 //
 // This bench measures gate statistics directly rather than running experiments, so it does
-// not build an ExperimentPlan; it still takes the shared flags and honours --out_json with a
-// custom report.
+// not build an ExperimentPlan; it takes only --out_json, honoured with a custom report.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -121,17 +120,12 @@ constexpr int kWindows[] = {4, 16, 32, 64};
 int main(int argc, char** argv) {
   using fmoe::AsciiTable;
 
-  BenchEnv env;
+  std::string out_json;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_fig03_entropy",
-                      "Figure 3: coarse vs fine expert-pattern predictability", &env,
-                      &exit_code)) {
+                      "Figure 3: coarse vs fine expert-pattern predictability",
+                      /*observe=*/nullptr, &out_json, &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.observe.trace_out.empty()) {
-    std::cerr << "note: --trace-out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   PrintHeatmaps(MixtralConfig());
@@ -174,8 +168,8 @@ int main(int argc, char** argv) {
                "for every model/dataset (3b); aggregated entropy grows with the number of\n"
                "iterations aggregated (3c), i.e. coarse patterns become less predictable.\n";
 
-  if (!env.out_json.empty()) {
-    const bool ok = WriteJsonFile(env.out_json, [&](std::ostream& out) {
+  if (!out_json.empty()) {
+    const bool ok = WriteJsonFile(out_json, [&](std::ostream& out) {
       out << "{\n  \"per_dataset\": [\n";
       for (size_t i = 0; i < by_dataset.size(); ++i) {
         const DatasetEntropy& e = by_dataset[i];

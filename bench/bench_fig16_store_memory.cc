@@ -1,8 +1,8 @@
 // Figure 16: CPU memory footprint of the Expert Map Store at different capacities (1K - 32K
 // maps) for the three models, plus a measured footprint from actually filling a store.
 //
-// Pure sizing-model arithmetic — no experiments to plan — so this bench only borrows the
-// shared flag scaffold and the custom JSON writer.
+// Pure sizing-model arithmetic — no experiments to plan — so this bench takes only --out_json
+// and uses the custom JSON writer.
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -13,16 +13,12 @@ int main(int argc, char** argv) {
   using fmoe::AsciiTable;
   using namespace fmoe::bench;
 
-  BenchEnv env;
+  std::string out_json;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_fig16_store_memory",
-                      "Figure 16: Expert Map Store CPU memory footprint", &env, &exit_code)) {
+                      "Figure 16: Expert Map Store CPU memory footprint", /*observe=*/nullptr,
+                      &out_json, &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.observe.trace_out.empty()) {
-    std::cerr << "note: --trace-out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   const std::vector<size_t> capacities{1000, 2000, 4000, 8000, 16000, 32000};
@@ -64,8 +60,8 @@ int main(int argc, char** argv) {
                "experts/layer widen the maps); even 32K maps stay under 200 MB; the paper's\n"
                "1K operating point costs only a few MB.\n";
 
-  if (!env.out_json.empty()) {
-    const bool ok = WriteJsonFile(env.out_json, [&](std::ostream& out) {
+  if (!out_json.empty()) {
+    const bool ok = WriteJsonFile(out_json, [&](std::ostream& out) {
       const std::vector<fmoe::ModelConfig> models = fmoe::AllPaperModels();
       out << "{\n  \"models\": [";
       for (size_t m = 0; m < models.size(); ++m) {

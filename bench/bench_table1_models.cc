@@ -1,7 +1,7 @@
 // Table 1: characteristics of the three MoE models in the evaluation.
 //
-// Static model metadata — nothing to run — so this bench only borrows the shared flag
-// scaffold and the custom JSON writer.
+// Static model metadata — nothing to run — so this bench takes only --out_json and uses the
+// custom JSON writer.
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -11,17 +11,12 @@ int main(int argc, char** argv) {
   using fmoe::AsciiTable;
   using namespace fmoe::bench;
 
-  BenchEnv env;
+  std::string out_json;
   int exit_code = 0;
   if (!ParseBenchArgs(argc, argv, "bench_table1_models",
-                      "Table 1: characteristics of the evaluated MoE models", &env,
-                      &exit_code)) {
+                      "Table 1: characteristics of the evaluated MoE models",
+                      /*observe=*/nullptr, &out_json, &exit_code)) {
     return exit_code;
-  }
-
-  if (!env.observe.trace_out.empty()) {
-    std::cerr << "note: --trace-out is ignored: this bench measures data structures directly "
-                 "(no serving engine to trace)\n";
   }
 
   fmoe::PrintBanner(std::cout, "Table 1: Characteristics of three MoE models in evaluation");
@@ -42,8 +37,8 @@ int main(int argc, char** argv) {
                "two columns are the simulator's derived per-expert size and no-offload decode\n"
                "compute floor.\n";
 
-  if (!env.out_json.empty()) {
-    const bool ok = WriteJsonFile(env.out_json, [&](std::ostream& out) {
+  if (!out_json.empty()) {
+    const bool ok = WriteJsonFile(out_json, [&](std::ostream& out) {
       const std::vector<fmoe::ModelConfig> models = fmoe::AllPaperModels();
       out << "{\n  \"models\": [\n";
       for (size_t m = 0; m < models.size(); ++m) {

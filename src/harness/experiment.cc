@@ -15,13 +15,6 @@ namespace {
 
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
-DatasetProfile ApplyCaps(DatasetProfile dataset, const ExperimentOptions& options) {
-  if (options.max_decode_tokens > 0) {
-    dataset.max_decode_tokens = options.max_decode_tokens;
-  }
-  return dataset;
-}
-
 EngineConfig MakeEngineConfig(const ExperimentOptions& options, const SystemSpec& spec) {
   EngineConfig config;
   config.prefetch_distance = options.prefetch_distance;
@@ -115,6 +108,15 @@ bool ExperimentTask::HasTag(const std::string& tag) const {
   return std::find(tags.begin(), tags.end(), tag) != tags.end();
 }
 
+WorkloadSplit GenerateSplit(const ExperimentOptions& options) {
+  WorkloadGenerator generator(CapDecodeTokens(options.dataset, options.max_decode_tokens),
+                              options.seed);
+  WorkloadSplit split;
+  split.history = generator.Generate(options.history_requests);
+  split.test = generator.Generate(options.test_requests);
+  return split;
+}
+
 uint64_t ResolveCacheBytes(const ExperimentOptions& options) {
   if (options.cache_bytes != 0) {
     return options.cache_bytes;
@@ -161,19 +163,16 @@ ExperimentResult RunExperiment(const ExperimentTask& task) {
                  "routing and closed-loop admission decide per request: batch size must be 1");
 
   // The requests, plus the split's history.
-  const DatasetProfile dataset = ApplyCaps(options.dataset, options);
   std::vector<Request> history;
   std::vector<Request> generated;
   if (split) {
-    WorkloadGenerator generator(dataset, options.seed);
-    WorkloadSplit workload = SplitWorkload(
-        generator.Generate(options.history_requests + options.test_requests),
-        static_cast<double>(options.history_requests) /
-            static_cast<double>(options.history_requests + options.test_requests));
+    WorkloadSplit workload = GenerateSplit(options);
     history = std::move(workload.history);
     generated = std::move(workload.test);
   } else if (task.source == RequestSource::kTrace) {
-    generated = TraceGenerator(task.trace, dataset, options.seed).Generate(task.request_count);
+    // The trace sets every length, so the decode cap does not apply.
+    generated = TraceGenerator(task.trace, options.dataset, options.seed)
+                    .Generate(task.request_count);
   }
   const std::vector<Request>& requests =
       task.source == RequestSource::kRequests ? task.requests : generated;

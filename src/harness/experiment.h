@@ -139,8 +139,8 @@ struct ExperimentResult {
 
 // Where a task's requests come from.
 enum class RequestSource {
-  kSplit,     // options.history_requests + options.test_requests generated and split 7:3-style;
-              // the history warms the engine, the test requests are measured.
+  kSplit,     // GenerateSplit(options): the history warms the engine, the test requests are
+              // measured.
   kTrace,     // `request_count` requests of the generated arrival trace `trace`.
   kRequests,  // The given `requests`, sorted by arrival time.
 };
@@ -195,6 +195,11 @@ struct Replica {
   std::unique_ptr<ServingEngine> engine;
 };
 Replica MakeReplica(const std::string& system, const ExperimentOptions& options, int index);
+
+// The offline 7:3 protocol's requests, drawn from options.dataset under the
+// max_decode_tokens cap: the first `history_requests` draws are the history that warms the
+// policy, the next `test_requests` are served and measured.
+WorkloadSplit GenerateSplit(const ExperimentOptions& options);
 
 // Resolves the cache budget an options struct implies, in bytes.
 uint64_t ResolveCacheBytes(const ExperimentOptions& options);

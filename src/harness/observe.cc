@@ -10,25 +10,19 @@
 
 namespace fmoe {
 
-void AddObserveFlags(FlagParser& flags) {
-  flags.AddInt("jobs", 1,
-               "worker threads for the plan runner (0 = one per hardware thread); output is "
-               "byte-identical for any value");
-  flags.AddString("trace-out", "",
-                  "write a Chrome trace-event JSON (Perfetto-loadable) of one task's run here; "
-                  "its stall report goes to stderr and stdout is unaffected");
-  flags.AddInt("trace-task", 0, "plan index of the task --trace-out covers (default 0)");
-  flags.AddBool("oracle", false,
-                "run the clairvoyant oracle on every task (DESIGN.md 5k): print a \"% of "
-                "clairvoyant optimum\" gap table after the output and add an oracle block to "
-                "each JSON result");
-}
-
-ObserveOptions ReadObserveFlags(const FlagParser& flags) {
-  return {.jobs = static_cast<int>(flags.GetInt("jobs")),
-          .trace_out = flags.GetString("trace-out"),
-          .trace_task = flags.GetInt("trace-task"),
-          .oracle = flags.GetBool("oracle")};
+void AddObserveFlags(FlagParser& flags, ObserveOptions* options) {
+  flags.Add("jobs", &options->jobs, 1,
+            "worker threads for the plan runner (0 = one per hardware thread); output is "
+            "byte-identical for any value");
+  flags.Add("trace-out", &options->trace_out, "",
+            "write a Chrome trace-event JSON (Perfetto-loadable) of one task's run here; its "
+            "stall report goes to stderr and stdout is unaffected");
+  flags.Add("trace-task", &options->trace_task, 0,
+            "plan index of the task --trace-out covers (default 0)");
+  flags.Add("oracle", &options->oracle, false,
+            "run the clairvoyant oracle on every task (DESIGN.md 5k): print a \"% of "
+            "clairvoyant optimum\" gap table after the output and add an oracle block to each "
+            "JSON result");
 }
 
 void PrintOracleTable(const ExperimentPlan& plan, const std::vector<ExperimentResult>& results,

@@ -34,10 +34,8 @@ struct ObserveOptions {
   bool oracle = false;      // Run the clairvoyant oracle on every task.
 };
 
-// Declares --jobs, --trace-out, --trace-task and --oracle on `flags`.
-void AddObserveFlags(FlagParser& flags);
-// Reads them back after a successful Parse.
-ObserveOptions ReadObserveFlags(const FlagParser& flags);
+// Declares --jobs, --trace-out, --trace-task and --oracle on `flags`, bound to `options`.
+void AddObserveFlags(FlagParser& flags, ObserveOptions* options);
 
 // The "% of clairvoyant optimum" table: one row per oracle-enabled task, labelled by its plan
 // index and tags.

@@ -9,31 +9,25 @@
 namespace fmoe {
 namespace {
 
-SystemSpec FmoeVariant(const std::string& name, const ModelConfig& model, int distance,
-                       bool semantic, bool dynamic_threshold, const std::string& cache,
-                       size_t store_capacity, double low_precision_threshold,
-                       MapPrecision map_precision, int host_stage_candidates, int map_shards,
-                       StoreDedupPolicy dedup = StoreDedupPolicy::kRedundancy) {
-  FmoeOptions options;
-  options.variant_name = name;
-  options.store_capacity = store_capacity;
-  options.store_dedup = dedup;
-  options.map_precision = map_precision;
-  options.low_precision_threshold = low_precision_threshold;
-  options.host_stage_candidates = host_stage_candidates;
-  options.map_shards = map_shards;
-  options.matcher.use_semantic = semantic;
-  options.matcher.use_trajectory = true;
-  options.prefetcher.dynamic_threshold = dynamic_threshold;
-  // Without the delta mechanism the ablation prefetches exactly the top-K of the matched map
-  // (what the baselines do); delta adds hedging with extra experts under low match confidence.
-  options.prefetcher.min_extra_experts = dynamic_threshold ? 1 : 0;
-  SystemSpec spec;
-  spec.name = name;
-  spec.cache_policy = cache;
-  spec.policy = std::make_unique<FmoePolicy>(model, distance, options);
-  return spec;
-}
+// The fMoE family: full fMoE plus its ablations (Fig. 12). Each member runs FmoePolicy with
+// the same store and precision knobs; only these fields tell them apart.
+struct FmoeFamilyMember {
+  const char* name;
+  bool semantic;           // Semantic search beside trajectory search.
+  bool dynamic_threshold;  // The δ mechanism.
+  const char* cache_policy;
+  StoreDedupPolicy store_dedup;
+};
+
+constexpr FmoeFamilyMember kFmoeFamily[] = {
+    {"fMoE", true, true, "fMoE-PriorityLFU", StoreDedupPolicy::kRedundancy},
+    {"Map(T)", false, false, "fMoE-PriorityLFU", StoreDedupPolicy::kRedundancy},
+    {"Map(T+S)", true, false, "fMoE-PriorityLFU", StoreDedupPolicy::kRedundancy},
+    {"Map(T+S+d)", true, true, "fMoE-PriorityLFU", StoreDedupPolicy::kRedundancy},
+    {"fMoE-FIFOStore", true, true, "fMoE-PriorityLFU", StoreDedupPolicy::kFifo},
+    {"fMoE-LRU", true, true, "LRU", StoreDedupPolicy::kRedundancy},
+    {"fMoE-LFU", true, true, "LFU", StoreDedupPolicy::kRedundancy},
+};
 
 }  // namespace
 
@@ -42,44 +36,28 @@ SystemSpec MakeSystem(const std::string& name, const ModelConfig& model, int pre
                       MapPrecision map_precision, int host_stage_candidates, int map_shards) {
   SystemSpec spec;
   spec.name = name;
-  if (name == "fMoE") {
-    return FmoeVariant(name, model, prefetch_distance, /*semantic=*/true,
-                       /*dynamic_threshold=*/true, "fMoE-PriorityLFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
-  }
-  if (name == "Map(T)") {
-    return FmoeVariant(name, model, prefetch_distance, /*semantic=*/false,
-                       /*dynamic_threshold=*/false, "fMoE-PriorityLFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
-  }
-  if (name == "Map(T+S)") {
-    return FmoeVariant(name, model, prefetch_distance, /*semantic=*/true,
-                       /*dynamic_threshold=*/false, "fMoE-PriorityLFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
-  }
-  if (name == "Map(T+S+d)") {
-    return FmoeVariant(name, model, prefetch_distance, /*semantic=*/true,
-                       /*dynamic_threshold=*/true, "fMoE-PriorityLFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
-  }
-  if (name == "fMoE-FIFOStore") {
-    return FmoeVariant(name, model, prefetch_distance, true, true, "fMoE-PriorityLFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards, StoreDedupPolicy::kFifo);
-  }
-  if (name == "fMoE-LRU") {
-    return FmoeVariant(name, model, prefetch_distance, true, true, "LRU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
-  }
-  if (name == "fMoE-LFU") {
-    return FmoeVariant(name, model, prefetch_distance, true, true, "LFU",
-                       fmoe_store_capacity, low_precision_threshold, map_precision,
-                       host_stage_candidates, map_shards);
+  for (const FmoeFamilyMember& member : kFmoeFamily) {
+    if (name != member.name) {
+      continue;
+    }
+    FmoeOptions options;
+    options.variant_name = name;
+    options.store_capacity = fmoe_store_capacity;
+    options.store_dedup = member.store_dedup;
+    options.map_precision = map_precision;
+    options.low_precision_threshold = low_precision_threshold;
+    options.host_stage_candidates = host_stage_candidates;
+    options.map_shards = map_shards;
+    options.matcher.use_semantic = member.semantic;
+    options.matcher.use_trajectory = true;
+    options.prefetcher.dynamic_threshold = member.dynamic_threshold;
+    // Without the delta mechanism the ablation prefetches exactly the top-K of the matched
+    // map (what the baselines do); delta adds hedging with extra experts under low match
+    // confidence.
+    options.prefetcher.min_extra_experts = member.dynamic_threshold ? 1 : 0;
+    spec.cache_policy = member.cache_policy;
+    spec.policy = std::make_unique<FmoePolicy>(model, prefetch_distance, options);
+    return spec;
   }
   if (name == "MoE-Infinity") {
     spec.cache_policy = "LFU";

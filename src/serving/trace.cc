@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/logging.h"
+
 namespace fmoe {
 
 TraceGenerator::TraceGenerator(const TraceProfile& trace, const DatasetProfile& prompts,
                                uint64_t seed)
-    : trace_(trace), prompts_(prompts, seed), rng_(seed ^ 0x7261636574726163ULL) {}
+    : trace_(trace), prompts_(prompts, seed), rng_(seed ^ 0x7261636574726163ULL) {
+  FMOE_CHECK(trace.min_prompt_tokens <= trace.max_prompt_tokens);
+  FMOE_CHECK(trace.min_decode_tokens <= trace.max_decode_tokens);
+}
 
 std::vector<Request> TraceGenerator::Generate(size_t count) {
   std::vector<Request> requests;

@@ -35,6 +35,7 @@ struct TraceProfile {
 
 class TraceGenerator {
  public:
+  // Aborts unless the trace's and the prompts' length bounds are ordered (min <= max).
   TraceGenerator(const TraceProfile& trace, const DatasetProfile& prompts, uint64_t seed);
 
   // `count` requests with strictly increasing arrival times and trace-driven lengths.

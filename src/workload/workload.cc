@@ -38,9 +38,19 @@ std::vector<DatasetProfile> AllPaperDatasets() {
   return {LmsysLikeProfile(), ShareGptLikeProfile()};
 }
 
+DatasetProfile CapDecodeTokens(DatasetProfile profile, int max_decode_tokens) {
+  if (max_decode_tokens > 0) {
+    profile.max_decode_tokens = max_decode_tokens;
+    profile.min_decode_tokens = std::min(profile.min_decode_tokens, max_decode_tokens);
+  }
+  return profile;
+}
+
 WorkloadGenerator::WorkloadGenerator(const DatasetProfile& profile, uint64_t seed)
     : profile_(profile), rng_(seed) {
   FMOE_CHECK(profile.num_clusters > 0);
+  FMOE_CHECK(profile.min_prompt_tokens <= profile.max_prompt_tokens);
+  FMOE_CHECK(profile.min_decode_tokens <= profile.max_decode_tokens);
   // Precompute the Zipf-like cluster CDF.
   cluster_cdf_.resize(static_cast<size_t>(profile_.num_clusters));
   double total = 0.0;

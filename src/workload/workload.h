@@ -52,8 +52,13 @@ DatasetProfile LmsysLikeProfile();     // Short chatty prompts, many topics.
 DatasetProfile ShareGptLikeProfile();  // Longer conversations, fewer topics.
 std::vector<DatasetProfile> AllPaperDatasets();
 
+// `profile` with decode lengths capped at `max_decode_tokens` (<= 0 keeps the profile's own
+// cap). A cap below the minimum lowers the minimum to it, so every length is the cap.
+DatasetProfile CapDecodeTokens(DatasetProfile profile, int max_decode_tokens);
+
 class WorkloadGenerator {
  public:
+  // Aborts unless the profile's length bounds are ordered (min <= max, prompt and decode).
   WorkloadGenerator(const DatasetProfile& profile, uint64_t seed);
 
   // Generates `count` offline requests (arrival_time = 0).

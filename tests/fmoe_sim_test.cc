@@ -1,11 +1,15 @@
 // Command-line contract of fmoe_sim: a loaded CSV trace is served per --mode like a generated
 // one (scheduled runs go through the admission-controlled scheduler), --save-store builds its
 // engine the way a run does, so the map-shard count reaches the saved store, and the shared
-// observation flags (--trace-out, --oracle) change stdout by nothing but the oracle blocks.
+// observation flags (--trace-out, --oracle) change stdout by nothing but the oracle blocks. A
+// flag value that does not parse is a usage error naming the flag.
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +40,29 @@ std::string RunSim(const std::string& args) {
   }
   EXPECT_EQ(pclose(pipe), 0) << command;
   return out;
+}
+
+// Runs fmoe_sim with `args`, expecting it to fail; returns its exit status and stderr.
+struct Failure {
+  int status = 0;
+  std::string stderr_text;
+};
+Failure RunSimExpectingFailure(const std::string& args) {
+  const std::string command = std::string(FMOE_SIM_PATH) + " " + args + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  if (pipe == nullptr) {
+    return {};
+  }
+  Failure failure;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    failure.stderr_text.append(buffer, n);
+  }
+  const int raw = pclose(pipe);
+  failure.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : 128 + WTERMSIG(raw);
+  return failure;
 }
 
 std::string ReadFile(const std::string& path) {
@@ -133,6 +160,27 @@ TEST(FmoeSimTest, UnderscoreSpellingsAreAccepted) {
   EXPECT_EQ(plain, spelled);
   EXPECT_FALSE(ReadFile(underscored).empty());
   EXPECT_EQ(ReadFile(dashed), ReadFile(underscored));
+}
+
+// A value the flag cannot take is a usage error (exit 1) that names the flag, whether it is a
+// count that does not fit its unsigned target or a name the enum parser does not know.
+TEST(FmoeSimTest, BadFlagValuesAreUsageErrorsNamingTheFlag) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--model tiny --requests -1 --history 2", "--requests"},
+      {"--history -1", "--history"},
+      {"--router-policy bogus", "--router-policy"},
+      {"--map-precision fp8", "--map-precision"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const Failure failure = RunSimExpectingFailure(args);
+    EXPECT_EQ(failure.status, 1) << args << "\n" << failure.stderr_text;
+    EXPECT_NE(failure.stderr_text.find("error: invalid "), std::string::npos) << args;
+    EXPECT_NE(failure.stderr_text.find(std::string(" for ") + flag + ": "), std::string::npos)
+        << args << "\n" << failure.stderr_text;
+  }
+  EXPECT_NE(RunSimExpectingFailure("--router-policy bogus")
+                .stderr_text.find("(expected round-robin | least-loaded | semantic-affinity)"),
+            std::string::npos);
 }
 
 }  // namespace

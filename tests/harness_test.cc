@@ -115,6 +115,20 @@ TEST(HarnessTest, RequestLatencyCountMatchesTestRequests) {
   EXPECT_EQ(result.request_latencies.size(), options.test_requests);
 }
 
+// The split takes exactly `history_requests` history and `test_requests` measured requests,
+// whatever their ratio (a fraction-based split measured 48 here).
+TEST(HarnessTest, SplitMeasuresExactlyTheTestRequests) {
+  ExperimentOptions options = TinyOptions();
+  options.history_requests = 2;
+  options.test_requests = 47;
+  const WorkloadSplit split = GenerateSplit(options);
+  EXPECT_EQ(split.history.size(), 2u);
+  ASSERT_EQ(split.test.size(), 47u);
+  EXPECT_EQ(split.test.front().id, 2u);  // The draws after the history.
+  const ExperimentResult result = RunExperiment({.system = "fMoE", .options = options});
+  EXPECT_EQ(result.request_latencies.size(), 47u);
+}
+
 TEST(HarnessTest, SeedChangesWorkloadButKeepsDeterminism) {
   ExperimentOptions a = TinyOptions();
   ExperimentOptions b = TinyOptions();

@@ -48,6 +48,29 @@ TEST(WorkloadGeneratorTest, LengthsRespectCaps) {
   }
 }
 
+// A decode cap below the dataset's minimum lowers the minimum too, so every length is the cap.
+TEST(WorkloadGeneratorTest, DecodeCapBelowTheMinimumHolds) {
+  for (int cap = 1; cap <= 3; ++cap) {
+    const DatasetProfile profile = CapDecodeTokens(LmsysLikeProfile(), cap);
+    EXPECT_LE(profile.min_decode_tokens, profile.max_decode_tokens);
+    WorkloadGenerator generator(profile, 11);
+    for (const Request& r : generator.Generate(200)) {
+      EXPECT_GE(r.decode_tokens, 1) << cap;
+      EXPECT_LE(r.decode_tokens, cap);
+    }
+  }
+  EXPECT_EQ(CapDecodeTokens(LmsysLikeProfile(), 0).max_decode_tokens,
+            LmsysLikeProfile().max_decode_tokens);  // 0 keeps the dataset's cap.
+}
+
+using WorkloadGeneratorDeathTest = ::testing::Test;
+
+TEST(WorkloadGeneratorDeathTest, UnorderedLengthBoundsAbort) {
+  DatasetProfile profile = LmsysLikeProfile();
+  profile.max_decode_tokens = profile.min_decode_tokens - 1;
+  EXPECT_DEATH(WorkloadGenerator(profile, 1), "min_decode_tokens");
+}
+
 TEST(WorkloadGeneratorTest, ClustersWithinRange) {
   const DatasetProfile profile = LmsysLikeProfile();
   WorkloadGenerator generator(profile, 7);
